@@ -77,15 +77,15 @@ def main(argv=None) -> int:
     reference_hit_rate = baseline.get("cache_hit_rate")
     if reference_hit_rate is not None:
         measured_hit_rate = (
-            bench.get("modes", {}).get("engine", {}).get("cache_hit_rate")
+            bench.get("modes", {}).get("cached", {}).get("cache_hit_rate")
         )
         floor = reference_hit_rate - HIT_RATE_SLACK
         if measured_hit_rate is None:
-            failures.append("engine cache_hit_rate missing from report")
+            failures.append("cached cache_hit_rate missing from report")
         else:
             status = "ok" if measured_hit_rate >= floor else "REGRESSION"
             print(
-                f"engine   hit-rate {measured_hit_rate:.3f}   "
+                f"cached   hit-rate {measured_hit_rate:.3f}   "
                 f"(baseline {reference_hit_rate:.3f}, floor {floor:.3f})  "
                 f"{status}"
             )

@@ -15,15 +15,24 @@ speedup numbers trustworthy:
   ``best_metric`` must match exactly.
 * ``pop`` — :class:`repro.sim.fastpath.FastBatchWorkload` (stream
   replay through the **unchanged** scheduler) against the scalar
-  workload under the POP SAP.  Identical decisions, identical result;
-  the win is bounded by predictor cost, hence the modest gate.
+  workload under the POP SAP.  Identical decisions, identical result.
+  Both sides of this ratio run the same curve predictor, which is most
+  of either wall (86 % of ``pop_sim``'s traced pass), so the ratio sits
+  at 1.0 whatever the predictor costs: the batched fit kernel took the
+  scalar side from 4.9-5.3 s to 0.53-0.67 s on the reference host and
+  left the ratio at 0.97-1.08x.  A
+  ">= 5x" gate on this cell (ROADMAP's earlier wording) is therefore
+  ill-posed; the kernel's gain is gated where it is visible, on
+  ``benchmarks/perf``'s ``pop_sim`` workload.  The absolute seconds are
+  in ``BENCH_sim.json`` for the record.
 
 Gates:
 
 * ``default`` speedup >= 10x (the closed-form replay skips the event
   loop entirely).
 * ``pop`` speedup >= 0.5x (replay must never make the DES slower;
-  predictor time dominates, so anything near 1x is healthy).
+  the shared predictor dominates both sides, so anything near 1x is
+  healthy).
 
 Writes ``BENCH_sim.json`` at the repo root.  CI compares the *speedup
 ratios* (machine-relative, so a slower runner does not fail the gate)

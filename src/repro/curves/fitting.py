@@ -20,7 +20,29 @@ from scipy import optimize
 
 from .models import CURVE_MODELS, CurveModel
 
-__all__ = ["ModelFit", "fit_model", "fit_all_models", "curve_cache_key"]
+__all__ = [
+    "ModelFit",
+    "fit_model",
+    "fit_model_reference",
+    "fit_all_models",
+    "curve_cache_key",
+]
+
+#: Termination tolerances of the fit kernel, on the relative cost
+#: reduction, the relative step and the projected gradient
+#: (``scipy.optimize.least_squares``' defaults).
+FTOL = XTOL = GTOL = 1e-8
+
+#: Parameter columns of a kernel row; families with fewer are padded.
+_WIDTH = max(m.num_params for m in CURVE_MODELS.values())
+
+#: Levenberg-Marquardt damping, relative to the largest diagonal entry
+#: of ``J^T J``: where a row starts and the range it is kept in.
+_DAMPING_START, _DAMPING_MIN, _DAMPING_MAX = 1e-2, 1e-12, 1e12
+
+#: Stand-in for that entry where the Jacobian is all zero (every
+#: parameter in a clipped branch), so the damped system stays regular.
+_PEAK_FLOOR = 1e-30
 
 #: Key type of a fit-cache prefix: (prefix length, digest of the bytes).
 CurveKey = Tuple[int, bytes]
@@ -105,6 +127,204 @@ def _initial_guesses(
     return guesses
 
 
+def _as_curve(y: Sequence[float]) -> np.ndarray:
+    y_arr = np.asarray(y, dtype=float)
+    if y_arr.ndim != 1 or y_arr.size < 2:
+        raise ValueError("need a 1-D curve with at least 2 observations")
+    return y_arr
+
+
+def _starts(
+    model: CurveModel,
+    y: np.ndarray,
+    rng: np.random.Generator,
+    restarts: int,
+    extra_guesses: Optional[Sequence[np.ndarray]] = None,
+) -> np.ndarray:
+    """One family's starting points, clipped into its bounds, shape (S, P)."""
+    guesses = _initial_guesses(model, y, rng, restarts)
+    if extra_guesses is not None:
+        guesses.extend(np.asarray(g, dtype=float) for g in extra_guesses)
+    return model.clip_to_bounds(np.stack(guesses))
+
+
+def _levenberg_marquardt(
+    models: Sequence[CurveModel],
+    starts: Sequence[np.ndarray],
+    y: np.ndarray,
+    max_nfev: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimise ``0.5 * ||model(x, theta) - y||^2`` within each family's
+    bounds from every start of every family at once.
+
+    Projected Levenberg-Marquardt.  A row is one (family, start)
+    problem; parameter vectors are padded to ``_WIDTH`` columns so one
+    stacked ``J^T J`` and one ``solve`` advance all rows per iteration.
+    The damping is isotropic, ``damping * max(diag(J^T J)) * I`` — a
+    spherical trust region in raw parameter space, as
+    ``least_squares(method="trf")`` uses with its default ``x_scale``,
+    which is what makes the two agree on which minimum of a flat curve a
+    4-parameter family lands in (Marquardt's per-parameter scaling fits
+    as well but extrapolates such curves upwards) — and follows
+    Nielsen's update.  A parameter sitting on a bound with the gradient
+    pushing outwards is held (active set), the damped Gauss-Newton step
+    is taken in the rest and clipped into the box.  Every operation is
+    per row, so a row's trajectory does not depend on which other rows
+    share its batch.
+
+    Returns per row ``(theta, residuals, jacobian, ok)`` at the last
+    accepted point; ``ok`` is False where the residuals at the start
+    were not finite.
+    """
+    x = np.arange(1, y.size + 1, dtype=float)
+    edges = np.cumsum([0] + [len(block) for block in starts])
+    spans = list(zip(models, edges[:-1], edges[1:]))
+    total = int(edges[-1])
+    theta = np.zeros((total, _WIDTH))
+    lower = np.zeros((total, _WIDTH))
+    upper = np.zeros((total, _WIDTH))
+    for (model, lo, hi), block in zip(spans, starts):
+        p = model.num_params
+        theta[lo:hi, :p] = block
+        lower[lo:hi, :p] = model.lower
+        upper[lo:hi, :p] = model.upper
+
+    def evaluate(at, live, res, jac) -> None:
+        """Fused residuals and Jacobian of every family that still has a
+        live row (the rows of a finished family keep their last values)."""
+        for model, lo, hi in spans:
+            if live[lo:hi].any():
+                p = model.num_params
+                value, jac[lo:hi, :, :p] = model.value_and_jacobian(
+                    x, at[lo:hi, None, :p]
+                )
+                res[lo:hi] = value - y
+
+    res = np.empty((total, y.size))
+    jac = np.zeros((total, y.size, _WIDTH))
+    evaluate(theta, np.ones(total, dtype=bool), res, jac)
+    cost = 0.5 * (res * res).sum(axis=1)
+    ok = np.isfinite(cost)
+    res[~ok] = 0.0
+    live = ok.copy()
+    damping = np.full(total, _DAMPING_START)
+    growth = np.full(total, 2.0)
+    padding = upper <= lower
+    trial_res = np.empty_like(res)
+    trial_jac = np.zeros_like(jac)
+    diagonal = np.arange(_WIDTH)
+    nfev = 1
+    # Overflow in a wild trial step only makes that step a rejected one.
+    with np.errstate(all="ignore"):
+        while nfev < max_nfev and live.any():
+            jac_t = jac.transpose(0, 2, 1)
+            hess = jac_t @ jac
+            grad = (jac_t @ res[:, :, None])[:, :, 0]
+            # First-order optimality in a box: the projected gradient step.
+            live &= (
+                np.abs(theta - np.clip(theta - grad, lower, upper)).max(axis=1)
+                >= GTOL
+            )
+            held = (
+                padding
+                | ((theta <= lower) & (grad > 0.0))
+                | ((theta >= upper) & (grad < 0.0))
+            )
+            free = (~held).astype(float)
+            system = hess * free[:, :, None] * free[:, None, :]
+            peak = hess[:, diagonal, diagonal].max(axis=1)
+            system[:, diagonal, diagonal] += np.where(
+                held, 1.0, (damping * np.maximum(peak, _PEAK_FLOOR))[:, None]
+            )
+            step = np.linalg.solve(system, (-grad * free)[:, :, None])[:, :, 0]
+            step[~np.isfinite(step).all(axis=1)] = 0.0  # ends the row on XTOL
+            trial = np.clip(theta + step, lower, upper)
+            move = trial - theta
+            predicted = -(
+                (grad * move).sum(axis=1)
+                + 0.5 * (move * (hess @ move[:, :, None])[:, :, 0]).sum(axis=1)
+            )
+            evaluate(trial, live, trial_res, trial_jac)
+            nfev += 1
+            trial_cost = 0.5 * (trial_res * trial_res).sum(axis=1)
+            actual = cost - trial_cost
+            ratio = np.where(predicted > 0.0, actual / predicted, 0.0)
+            accept = live & (actual > 0.0)
+            stalled = np.sqrt((move * move).sum(axis=1)) < XTOL * (
+                XTOL + np.sqrt((theta * theta).sum(axis=1))
+            )
+            flat = accept & (actual < FTOL * cost) & (ratio > 0.25)
+            np.copyto(theta, trial, where=accept[:, None])
+            np.copyto(res, trial_res, where=accept[:, None])
+            np.copyto(jac, trial_jac, where=accept[:, None, None])
+            cost = np.where(accept, trial_cost, cost)
+            gain = accept & (ratio > 0.0)
+            damping = np.clip(
+                np.where(
+                    gain,
+                    damping * np.maximum(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3),
+                    damping * growth,
+                ),
+                _DAMPING_MIN,
+                _DAMPING_MAX,
+            )
+            growth = np.where(gain, 2.0, np.minimum(2.0 * growth, _DAMPING_MAX))
+            live &= ~(stalled | flat)
+    return theta, res, jac, ok
+
+
+def _best_of_starts(
+    model: CurveModel,
+    y: np.ndarray,
+    candidates: Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> ModelFit:
+    """The lowest-MSE ``(theta, residuals, jacobian)`` candidate, if any
+    beats the family default; ``success`` is False when none does."""
+    x = np.arange(1, y.size + 1, dtype=float)
+    best_theta = np.asarray(model.default, dtype=float)
+    best_mse = float(np.mean((model(x, best_theta) - y) ** 2))
+    best_jac: Optional[np.ndarray] = None
+    succeeded = False
+    for theta, residuals, jac in candidates:
+        mse = float(np.mean(residuals**2))
+        if np.isfinite(mse) and mse < best_mse:
+            best_theta = model.clip_to_bounds(theta)
+            best_mse = mse
+            best_jac = jac
+            succeeded = True
+    return ModelFit(
+        model=model,
+        theta=best_theta,
+        mse=best_mse,
+        success=succeeded,
+        covariance=_laplace_covariance(best_jac, best_mse, model.num_params),
+    )
+
+
+def _fit_batch(
+    models: Sequence[CurveModel],
+    starts: Sequence[np.ndarray],
+    y: np.ndarray,
+    max_nfev: int,
+) -> List[ModelFit]:
+    """Fit each family from its starts in one kernel call."""
+    if not models:
+        return []
+    theta, res, jac, ok = _levenberg_marquardt(models, starts, y, max_nfev)
+    fits = []
+    lo = 0
+    for model, block in zip(models, starts):
+        p = model.num_params
+        rows = [row for row in range(lo, lo + len(block)) if ok[row]]
+        fits.append(
+            _best_of_starts(
+                model, y, ((theta[r, :p], res[r], jac[r, :, :p]) for r in rows)
+            )
+        )
+        lo += len(block)
+    return fits
+
+
 def fit_model(
     model: CurveModel,
     y: Sequence[float],
@@ -120,6 +340,7 @@ def fit_model(
         y: observed performance values for epochs ``1..len(y)``.
         rng: randomness source for restart initialisation.
         restarts: number of optimiser starts (>= 1).
+        max_nfev: cap on fused value+Jacobian evaluations per start.
         extra_guesses: additional starting points tried after the
             generated ones — the warm-start hook used by the fit cache,
             which seeds the optimiser with the solution of the ``n-1``
@@ -133,51 +354,38 @@ def fit_model(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    y_arr = np.asarray(y, dtype=float)
-    if y_arr.ndim != 1 or y_arr.size < 2:
-        raise ValueError("need a 1-D curve with at least 2 observations")
+    y_arr = _as_curve(y)
+    starts = _starts(model, y_arr, rng, restarts, extra_guesses)
+    return _fit_batch([model], [starts], y_arr, max_nfev)[0]
+
+
+def fit_model_reference(
+    model: CurveModel,
+    y: Sequence[float],
+    guesses: Sequence[np.ndarray],
+    max_nfev: int = 200,
+) -> ModelFit:
+    """The same fit by ``scipy.optimize.least_squares`` (trust-region
+    reflective, exact Jacobian), one call per start.
+
+    This is the oracle the fidelity tests hold the kernel against; no
+    product path calls it.
+    """
+    y_arr = _as_curve(y)
     x = np.arange(1, y_arr.size + 1, dtype=float)
-
-    lower = np.asarray(model.lower)
-    upper = np.asarray(model.upper)
-
-    def residuals(theta: np.ndarray) -> np.ndarray:
-        return model(x, theta) - y_arr
-
-    best_theta = np.asarray(model.default, dtype=float)
-    best_mse = float(np.mean(residuals(best_theta) ** 2))
-    best_jac: Optional[np.ndarray] = None
-    succeeded = False
-
-    guesses = _initial_guesses(model, y_arr, rng, restarts)
-    if extra_guesses is not None:
-        guesses.extend(np.asarray(g, dtype=float) for g in extra_guesses)
-
-    for guess in guesses:
-        try:
-            result = optimize.least_squares(
-                residuals,
-                x0=np.clip(guess, lower, upper),
-                bounds=(lower, upper),
-                method="trf",
-                max_nfev=max_nfev,
-            )
-        except (ValueError, RuntimeError):
-            continue
-        mse = float(np.mean(result.fun**2))
-        if np.isfinite(mse) and mse < best_mse:
-            best_theta = model.clip_to_bounds(result.x)
-            best_mse = mse
-            best_jac = np.asarray(result.jac)
-            succeeded = True
-
-    covariance = _laplace_covariance(best_jac, best_mse, model.num_params)
-    return ModelFit(
-        model=model,
-        theta=best_theta,
-        mse=best_mse,
-        success=succeeded,
-        covariance=covariance,
+    results = [
+        optimize.least_squares(
+            lambda theta: model(x, theta) - y_arr,
+            x0=model.clip_to_bounds(guess),
+            jac=lambda theta: model.value_and_jacobian(x, theta)[1],
+            bounds=(np.asarray(model.lower), np.asarray(model.upper)),
+            method="trf",
+            max_nfev=max_nfev,
+        )
+        for guess in guesses
+    ]
+    return _best_of_starts(
+        model, y_arr, ((r.x, r.fun, np.asarray(r.jac)) for r in results)
     )
 
 
@@ -213,7 +421,8 @@ def fit_all_models(
     cache=None,
     params_key: Optional[Tuple] = None,
 ) -> Dict[str, ModelFit]:
-    """Fit every registered family (or a subset) to the observed prefix.
+    """Fit every registered family (or a subset) to the observed prefix,
+    all families and starts in one kernel batch.
 
     Args:
         cache: optional prefix-keyed fit cache (duck-typed; see
@@ -229,35 +438,36 @@ def fit_all_models(
 
     Returns a mapping from model name to its :class:`ModelFit`.
     """
-    if models is None:
-        models = CURVE_MODELS.values()
+    models = list(CURVE_MODELS.values() if models is None else models)
     if rng is None:
         rng = np.random.default_rng(0)
-    if cache is None:
-        return {
-            m.name: fit_model(
-                m, y, rng=rng, restarts=restarts, max_nfev=max_nfev
-            )
-            for m in models
-        }
-    if params_key is None:
+    if cache is not None and params_key is None:
         raise ValueError("params_key is required when a fit cache is given")
-    y_arr = np.asarray(y, dtype=float)
-    key = curve_cache_key(y_arr)
-    prev_key = curve_cache_key(y_arr[:-1]) if y_arr.size > 2 else None
-    fits: Dict[str, ModelFit] = {}
+    y_arr = _as_curve(y)
+    fits: Dict[str, Optional[ModelFit]] = {}
+    missed: List[CurveModel] = []
+    starts: List[np.ndarray] = []
+    warm_started: List[bool] = []
+    if cache is not None:
+        key = curve_cache_key(y_arr)
+        prev_key = curve_cache_key(y_arr[:-1]) if y_arr.size > 2 else None
     for m in models:
-        fit = cache.get(m.name, key, params_key)
-        if fit is None:
-            extra = None
+        extra = None
+        if cache is not None:
+            fits[m.name] = cache.get(m.name, key, params_key)
+            if fits[m.name] is not None:
+                continue
             if prev_key is not None:
                 warm = cache.peek(m.name, prev_key, params_key)
                 if warm is not None and warm.success:
                     extra = [warm.theta]
-            fit = fit_model(
-                m, y_arr, rng=rng, restarts=restarts,
-                max_nfev=max_nfev, extra_guesses=extra,
-            )
-            cache.put(m.name, key, params_key, fit, warm_started=extra is not None)
+        missed.append(m)
+        starts.append(_starts(m, y_arr, rng, restarts, extra))
+        warm_started.append(extra is not None)
+    for m, fit, warm in zip(
+        missed, _fit_batch(missed, starts, y_arr, max_nfev), warm_started
+    ):
         fits[m.name] = fit
+        if cache is not None:
+            cache.put(m.name, key, params_key, fit, warm_started=warm)
     return fits

@@ -59,6 +59,14 @@ def _safe_exp(z: np.ndarray) -> np.ndarray:
     return np.exp(np.clip(z, -_EXP_MAX, _EXP_MAX))
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    """``a`` with NaN -> 0 and +-inf -> +-1e6; ``a`` itself when already
+    finite (the common case, and ``nan_to_num`` is slow on small arrays)."""
+    if np.isfinite(a).all():
+        return a
+    return np.nan_to_num(a, nan=0.0, posinf=1e6, neginf=-1e6)
+
+
 def _as_positive(x: np.ndarray) -> np.ndarray:
     """Return ``x`` clipped away from zero so powers and logs are finite."""
     return np.maximum(np.asarray(x, dtype=float), _EPS)
@@ -71,7 +79,8 @@ class CurveModel:
     Attributes:
         name: registry key, e.g. ``"weibull"``.
         param_names: ordered parameter names for ``theta``.
-        func: vectorised ``y(x, theta)``.
+        func: vectorised ``y(x, theta)``; called with ``jac=True`` it
+            returns ``(y, (dy/dtheta_0, ...))``.
         lower: per-parameter lower bounds used by fitting and priors.
         upper: per-parameter upper bounds.
         default: a reasonable starting guess inside the bounds.
@@ -81,7 +90,7 @@ class CurveModel:
 
     name: str
     param_names: Tuple[str, ...]
-    func: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    func: Callable[..., np.ndarray]
     lower: Tuple[float, ...]
     upper: Tuple[float, ...]
     default: Tuple[float, ...]
@@ -112,7 +121,26 @@ class CurveModel:
             )
         with np.errstate(all="ignore"):
             y = self.func(x_arr, theta_arr)
-        return np.nan_to_num(y, nan=0.0, posinf=1e6, neginf=-1e6)
+        return _finite(y)
+
+    def value_and_jacobian(
+        self, x: np.ndarray, theta: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``y`` as :meth:`__call__` returns it (bit for bit) and the
+        closed-form Jacobian ``dy/dtheta``, shape ``y.shape + (P,)``.
+
+        ``theta`` broadcasts against ``x`` exactly as in ``__call__``:
+        a ``(B, 1, P)`` block against ``x`` of shape ``(N,)`` gives
+        ``y`` of shape ``(B, N)`` and a Jacobian of ``(B, N, P)``.
+        """
+        x_arr = _as_positive(np.asarray(x, dtype=float))
+        theta_arr = np.asarray(theta, dtype=float)
+        with np.errstate(all="ignore"):
+            y, columns = self.func(x_arr, theta_arr, jac=True)
+            jac = np.empty(np.shape(y) + (self.num_params,))
+            for i, column in enumerate(columns):
+                jac[..., i] = column
+        return _finite(y), _finite(jac)
 
     def in_bounds(self, theta: Sequence[float]) -> bool:
         theta_arr = np.asarray(theta, dtype=float)
@@ -129,66 +157,163 @@ class CurveModel:
         )
 
 
-def _vapor_pressure(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+# Every family is one function ``(x, t, jac=False)``.  With ``jac`` it
+# also returns the partial derivatives ``dy/dtheta_i`` (one array, or a
+# scalar for a constant column, per parameter) built from the very
+# intermediates of ``y`` — so the value the fit kernel minimises and the
+# value :meth:`CurveModel.__call__` extrapolates are the same floats.
+# Where ``y`` is clipped (``_EPS`` floors, ``_EXP_MAX``) it is locally
+# constant and the derivative through the clipped term is 0.
+
+
+def _exp_slope(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """d/dz of ``e = _safe_exp(z)``: ``e`` inside the clip, 0 outside."""
+    return e * (np.abs(z) <= _EXP_MAX)
+
+
+def _vapor_pressure(x: np.ndarray, t: np.ndarray, jac: bool = False):
     a, b, c = t[..., 0], t[..., 1], t[..., 2]
-    return _safe_exp(a + b / x + c * np.log(x))
+    log_x = np.log(x)
+    z = a + b / x + c * log_x
+    y = _safe_exp(z)
+    if not jac:
+        return y
+    dz = _exp_slope(z, y)
+    return y, (dz, dz / x, dz * log_x)
 
 
-def _pow3(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _pow3(x: np.ndarray, t: np.ndarray, jac: bool = False):
     c, a, alpha = t[..., 0], t[..., 1], t[..., 2]
-    return c - a * np.power(x, -np.abs(alpha))
+    p = np.power(x, -np.abs(alpha))
+    y = c - a * p
+    if not jac:
+        return y
+    return y, (1.0, -p, a * p * np.log(x) * np.sign(alpha))
 
 
-def _log_log_linear(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _log_log_linear(x: np.ndarray, t: np.ndarray, jac: bool = False):
     a, b = t[..., 0], t[..., 1]
-    inner = np.maximum(a * np.log(x) + b, _EPS)
-    return np.log(inner)
+    log_x = np.log(x)
+    raw = a * log_x + b
+    inner = np.maximum(raw, _EPS)
+    y = np.log(inner)
+    if not jac:
+        return y
+    d_inner = (raw > _EPS) / inner
+    return y, (d_inner * log_x, d_inner)
 
 
-def _hill3(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _hill3(x: np.ndarray, t: np.ndarray, jac: bool = False):
     ymax, eta, kappa = t[..., 0], t[..., 1], t[..., 2]
     xe = np.power(x, eta)
-    return ymax * xe / (np.power(np.maximum(kappa, _EPS), eta) + xe)
+    k = np.maximum(kappa, _EPS)
+    ke = np.power(k, eta)
+    den = ke + xe
+    y = ymax * xe / den
+    if not jac:
+        return y
+    # s = xe / den, and d s = s (1 - s) d log(xe / ke).
+    slope = ymax * xe * ke / (den * den)
+    return y, (
+        xe / den,
+        slope * (np.log(x) - np.log(k)),
+        -slope * eta / k * (kappa > _EPS),
+    )
 
 
-def _log_power(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _log_power(x: np.ndarray, t: np.ndarray, jac: bool = False):
     a, b, c = t[..., 0], t[..., 1], t[..., 2]
-    return a / (1.0 + np.power(x / _safe_exp(b), c))
-
-
-def _pow4(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    c, a, b, alpha = t[..., 0], t[..., 1], t[..., 2], t[..., 3]
-    base = np.maximum(a * x + b, _EPS)
-    return c - np.power(base, -np.abs(alpha))
-
-
-def _mmf(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    alpha, beta, kappa, delta = t[..., 0], t[..., 1], t[..., 2], t[..., 3]
-    return alpha - (alpha - beta) / (
-        1.0 + np.power(np.maximum(kappa, _EPS) * x, delta)
+    ratio = x / _safe_exp(b)
+    u = np.power(ratio, c)
+    den = 1.0 + u
+    y = a / den
+    if not jac:
+        return y
+    dy_du = -a / (den * den)
+    return y, (
+        1.0 / den,
+        dy_du * u * -c * (np.abs(b) <= _EXP_MAX),
+        dy_du * u * np.log(ratio),
     )
 
 
-def _exp4(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _pow4(x: np.ndarray, t: np.ndarray, jac: bool = False):
     c, a, b, alpha = t[..., 0], t[..., 1], t[..., 2], t[..., 3]
-    return c - _safe_exp(-a * np.power(x, alpha) + b)
+    raw = a * x + b
+    base = np.maximum(raw, _EPS)
+    p = np.power(base, -np.abs(alpha))
+    y = c - p
+    if not jac:
+        return y
+    d_base = np.abs(alpha) * p / base * (raw > _EPS)
+    return y, (1.0, d_base * x, d_base, p * np.log(base) * np.sign(alpha))
 
 
-def _janoschek(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _mmf(x: np.ndarray, t: np.ndarray, jac: bool = False):
     alpha, beta, kappa, delta = t[..., 0], t[..., 1], t[..., 2], t[..., 3]
-    return alpha - (alpha - beta) * _safe_exp(-kappa * np.power(x, delta))
-
-
-def _weibull(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    alpha, beta, kappa, delta = t[..., 0], t[..., 1], t[..., 2], t[..., 3]
-    return alpha - (alpha - beta) * _safe_exp(
-        -np.power(np.maximum(kappa, _EPS) * x, delta)
+    k = np.maximum(kappa, _EPS)
+    u = np.power(k * x, delta)
+    den = 1.0 + u
+    y = alpha - (alpha - beta) / den
+    if not jac:
+        return y
+    dy_du = (alpha - beta) / (den * den)
+    return y, (
+        1.0 - 1.0 / den,
+        1.0 / den,
+        dy_du * delta * u / k * (kappa > _EPS),
+        dy_du * u * np.log(k * x),
     )
 
 
-def _ilog2(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _exp4(x: np.ndarray, t: np.ndarray, jac: bool = False):
+    c, a, b, alpha = t[..., 0], t[..., 1], t[..., 2], t[..., 3]
+    xa = np.power(x, alpha)
+    z = -a * xa + b
+    e = _safe_exp(z)
+    y = c - e
+    if not jac:
+        return y
+    dz = _exp_slope(z, e)
+    return y, (1.0, dz * xa, -dz, dz * a * xa * np.log(x))
+
+
+def _janoschek(x: np.ndarray, t: np.ndarray, jac: bool = False):
+    alpha, beta, kappa, delta = t[..., 0], t[..., 1], t[..., 2], t[..., 3]
+    xd = np.power(x, delta)
+    z = -kappa * xd
+    e = _safe_exp(z)
+    y = alpha - (alpha - beta) * e
+    if not jac:
+        return y
+    dy_dz = -(alpha - beta) * _exp_slope(z, e)
+    return y, (1.0 - e, e, -dy_dz * xd, -dy_dz * kappa * xd * np.log(x))
+
+
+def _weibull(x: np.ndarray, t: np.ndarray, jac: bool = False):
+    alpha, beta, kappa, delta = t[..., 0], t[..., 1], t[..., 2], t[..., 3]
+    k = np.maximum(kappa, _EPS)
+    u = np.power(k * x, delta)
+    e = _safe_exp(-u)
+    y = alpha - (alpha - beta) * e
+    if not jac:
+        return y
+    dy_du = (alpha - beta) * _exp_slope(u, e)
+    return y, (
+        1.0 - e,
+        e,
+        dy_du * delta * u / k * (kappa > _EPS),
+        dy_du * u * np.log(k * x),
+    )
+
+
+def _ilog2(x: np.ndarray, t: np.ndarray, jac: bool = False):
     c, a = t[..., 0], t[..., 1]
-    return c - a / np.log(x + 1.0)
+    log_x1 = np.log(x + 1.0)
+    y = c - a / log_x1
+    if not jac:
+        return y
+    return y, (1.0, -1.0 / log_x1)
 
 
 CURVE_MODELS: Dict[str, CurveModel] = {}

@@ -130,6 +130,8 @@ def _check_inputs(observed: Sequence[float], n_future: int) -> np.ndarray:
         raise ValueError("observed curve must be 1-D")
     if n_future < 1:
         raise ValueError("n_future must be >= 1")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observed curve must be finite (got NaN or inf)")
     return y
 
 

@@ -48,6 +48,22 @@ def test_fit_rejects_2d_input():
         fit_model(get_model("pow3"), np.ones((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_curve_is_a_failed_fit_not_an_exception(bad):
+    """Every start has non-finite residuals, so every row fails: the
+    result is the family default, flagged unsuccessful."""
+    y = _weibull_curve(12)
+    y[4] = bad
+    for name in ("pow3", "weibull"):
+        model = get_model(name)
+        fit = fit_model(model, y, restarts=3)
+        assert not fit.success
+        assert fit.covariance is None
+        np.testing.assert_array_equal(fit.theta, model.default)
+    fits = fit_all_models(y, restarts=2, max_nfev=20)
+    assert not any(f.success for f in fits.values())
+
+
 def test_fit_all_models_returns_every_family():
     y = _weibull_curve(25)
     fits = fit_all_models(y, restarts=1, max_nfev=40)

@@ -36,8 +36,31 @@ def observed_curves(draw):
     return np.clip(curve + noise * rng.standard_normal(n), 0.0, 1.0)
 
 
-@given(y=observed_curves(), name=st.sampled_from(sorted(CURVE_MODELS)))
-@settings(max_examples=60, deadline=None)
+@st.composite
+def degenerate_curves(draw):
+    """Curves no learning run should produce but a caller may hand in:
+    exactly constant, two points long, strictly decreasing, and far
+    outside the [0, 1] range the families assume."""
+    kind = draw(
+        st.sampled_from(["constant", "two_points", "decreasing", "out_of_range"])
+    )
+    n = 2 if kind == "two_points" else draw(st.integers(min_value=3, max_value=60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    if kind == "constant":
+        return np.full(n, draw(st.floats(min_value=0.0, max_value=1.0)))
+    if kind == "two_points":
+        return rng.random(2)
+    if kind == "decreasing":
+        return np.sort(rng.random(n))[::-1] - 1e-3 * np.arange(n)
+    scale = draw(st.floats(min_value=1.5, max_value=1e6))
+    return scale * (rng.random(n) - 0.5)
+
+
+@given(
+    y=st.one_of(observed_curves(), degenerate_curves()),
+    name=st.sampled_from(sorted(CURVE_MODELS)),
+)
+@settings(max_examples=120, deadline=None)
 def test_fit_never_crashes_and_respects_bounds(y, name):
     model = get_model(name)
     fit = fit_model(model, y, restarts=1, max_nfev=30)

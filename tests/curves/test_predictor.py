@@ -102,6 +102,21 @@ def test_ls_input_validation(ls_predictor):
         ls_predictor.predict(np.ones((3, 2)), 5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_observations_rejected_by_name(bad):
+    """A NaN or inf prefix used to surface as ``rng.choice`` complaining
+    about an empty weight vector."""
+    curve = _rising_curve(12)
+    curve[5] = bad
+    for predictor in (
+        LeastSquaresCurvePredictor(n_sample_curves=10, restarts=1),
+        MCMCCurvePredictor(n_walkers=8, n_samples=4),
+        LastValuePredictor(),
+    ):
+        with pytest.raises(ValueError, match="must be finite"):
+            predictor.predict(curve, 5)
+
+
 def test_ls_deterministic_given_seed():
     a = LeastSquaresCurvePredictor(n_sample_curves=20, restarts=1, seed=7)
     b = LeastSquaresCurvePredictor(n_sample_curves=20, restarts=1, seed=7)
