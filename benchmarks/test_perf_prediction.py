@@ -1,34 +1,26 @@
-"""Prediction-engine throughput bench (§5.2's overlap, measured).
+"""Fit-cache throughput bench.
 
-A POP scheduler re-evaluates its whole job pool after every reported
-epoch, so steady-state prediction traffic looks like: ONE job has a new
-curve prefix, every other job's prefix is unchanged since the last
-round.  This bench replays that access pattern over calibrated cifar10
-curves and measures batch-prediction throughput in four configurations:
+A caller that re-evaluates a whole job pool after every reported epoch
+produces this traffic: ONE job has a new curve prefix, every other
+job's prefix is unchanged since the last round.  This bench replays
+that access pattern over calibrated cifar10 curves and measures
+prediction throughput in two configurations:
 
-* ``serial``  — the legacy inline predictor (the workers=1 path).
-* ``cached``  — single process + prefix-fit cache.
-* ``pooled``  — 4-worker process pool, cache disabled.
-* ``engine``  — 4-worker pool + per-worker caches (the full engine).
+* ``serial`` — the predictor as every product path builds it.
+* ``cached`` — the same predictor with a ``FitCache`` attached
+  (``LeastSquaresCurvePredictor(fit_cache=FitCache())``).
 
-Gate:
+Gate: ``cached`` throughput >= 3x ``serial`` at a steady-state
+fit-cache hit rate > 0.8.
 
-* ``cached`` throughput >= 3x ``serial`` at a steady-state fit-cache hit
-  rate > 0.8 — the cache is the part of the engine that pays on any
-  machine.
-
-``pooled`` and ``engine`` are reported, not gated.  Since the batched
-fit kernel (``curves/fitting.py``) the serial path alone outruns what
-the whole 4-worker engine delivered before it (EXPERIMENTS.md,
-"Prediction cost"), and what the pool adds on top follows the host's
-core count: over seven runs on a 2-core machine ``pooled`` read
-1.1-2.2x and ``engine`` 3.7-8.1x, against ``cached`` at 4.1-7.4x with
-no processes at all.  This bench also flatters both: it re-predicts
-every job every round, while the scheduler asks for one fresh prefix at
-a time (the real pattern is ``benchmarks/perf``'s ``pop_sim``).
+What this does NOT measure is the scheduler: it asks for one fresh
+prefix at a time, so a cache never hits there (the real pattern is
+``benchmarks/perf``'s ``pop_sim``, ``curves.engine.cache_hit_ratio``
+0).  The process pool this bench used to report as ``pooled`` and
+``engine`` was deleted in PR 16 (EXPERIMENTS.md, "Prediction cost").
 
 Writes ``BENCH_prediction.json`` at the repo root.  CI compares the
-*speedup ratios* (machine-relative, so a slower runner does not fail
+*speedup ratio* (machine-relative, so a slower runner does not fail
 the gate) against ``benchmarks/baselines/prediction.json`` via
 ``benchmarks/check_prediction_regression.py``.
 """
@@ -40,7 +32,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-from repro.curves.engine import ParallelPredictionService
+from repro.curves.engine import FitCache
 from repro.curves.predictor import LeastSquaresCurvePredictor
 from repro.generators.random_gen import RandomGenerator
 from repro.workloads.cifar10 import Cifar10Workload
@@ -50,20 +42,20 @@ OUTPUT_PATH = REPO_ROOT / "BENCH_prediction.json"
 
 N_JOBS = 8
 WARM_EPOCHS = 10  # observed prefix length at steady state
-ROUNDS = 10       # measured scheduler rounds per mode
-WORKERS = 4
+ROUNDS = 10       # measured rounds per mode
 
 CACHED_SPEEDUP_GATE = 3.0
 HIT_RATE_GATE = 0.8
 
 
-def _make_predictor() -> LeastSquaresCurvePredictor:
+def _make_predictor(fit_cache=None) -> LeastSquaresCurvePredictor:
     """The simulation benches' predictor configuration."""
     return LeastSquaresCurvePredictor(
         n_sample_curves=100,
         restarts=2,
         model_names=LeastSquaresCurvePredictor.FAST_MODEL_SUBSET,
         max_nfev=60,
+        fit_cache=fit_cache,
     )
 
 
@@ -98,42 +90,29 @@ def _round_requests(
     return requests
 
 
-def _drive(service: ParallelPredictionService, curves: List[List[float]]):
-    """Run warm-up + measured rounds; returns (seconds, predictions,
-    steady-state cache stats delta)."""
+def _predict_round(predictor, requests) -> int:
+    for observed, horizon in requests:
+        predictor.predict(observed, horizon)
+    return len(requests)
+
+
+def _run_mode(name: str, curves: List[List[float]]) -> Dict[str, float]:
+    """Warm-up round + measured rounds for one mode."""
+    cache = FitCache() if name == "cached" else None
+    predictor = _make_predictor(fit_cache=cache)
     lengths = [WARM_EPOCHS] * N_JOBS
-    # Warm-up round: populates caches; excluded from timing and from
+    # Warm-up round: populates the cache; excluded from timing and from
     # the steady-state hit rate.
-    service.predict_batch(_round_requests(curves, lengths, 0))
-    before = service.cache_stats()
+    _predict_round(predictor, _round_requests(curves, lengths, 0))
+    before = cache.stats() if cache is not None else {}
     predictions = 0
     started = time.perf_counter()
     for round_index in range(1, ROUNDS + 1):
         requests = _round_requests(curves, lengths, round_index % N_JOBS)
-        predictions += len(service.predict_batch(requests))
+        predictions += _predict_round(predictor, requests)
     elapsed = time.perf_counter() - started
-    after = service.cache_stats()
-    delta = {k: after.get(k, 0) - before.get(k, 0) for k in after}
-    return elapsed, predictions, delta
-
-
-def _run_mode(name: str, curves: List[List[float]]) -> Dict[str, float]:
-    if name == "serial":
-        service = ParallelPredictionService(_make_predictor(), workers=1)
-    elif name == "cached":
-        service = ParallelPredictionService(
-            _make_predictor(), workers=1, use_cache=True
-        )
-    elif name == "pooled":
-        service = ParallelPredictionService(
-            _make_predictor(), workers=WORKERS, use_cache=False
-        )
-    elif name == "engine":
-        service = ParallelPredictionService(_make_predictor(), workers=WORKERS)
-    else:  # pragma: no cover
-        raise ValueError(name)
-    with service:
-        elapsed, predictions, delta = _drive(service, curves)
+    after = cache.stats() if cache is not None else {}
+    delta = {k: after[k] - before[k] for k in after}
     demand = delta.get("hits", 0) + delta.get("misses", 0)
     return {
         "seconds": elapsed,
@@ -148,7 +127,7 @@ def test_prediction_engine_throughput():
     curves = _calibrated_curves()
     modes = {
         name: _run_mode(name, curves)
-        for name in ("serial", "cached", "pooled", "engine")
+        for name in ("serial", "cached")
     }
     serial_tp = modes["serial"]["throughput_per_s"]
     report = {
@@ -156,7 +135,6 @@ def test_prediction_engine_throughput():
         "workload": "cifar10",
         "jobs": N_JOBS,
         "rounds": ROUNDS,
-        "workers": WORKERS,
         "modes": modes,
         "speedups_vs_serial": {
             name: modes[name]["throughput_per_s"] / serial_tp

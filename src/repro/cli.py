@@ -74,12 +74,6 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
         help="use the live threaded runtime instead of simulation",
     )
     parser.add_argument("--time-scale", type=float, default=1e-3)
-    parser.add_argument(
-        "--predict-workers", type=int, default=1,
-        help="curve-prediction process-pool size; >1 enables the "
-             "parallel prediction engine with prefix-fit caching "
-             "(1 = legacy inline predictor, bit-reproducible)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -628,7 +622,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         target=args.target,
         tmax=args.tmax_hours * 3600.0,
         stop_on_target=not args.no_stop_on_target,
-        predict_workers=args.predict_workers,
     )
     recorder = None
     if args.emit_events or args.metrics_out or args.trace:
@@ -1140,7 +1133,6 @@ def _submission_from_args(args: argparse.Namespace):
         live=args.live,
         time_scale=args.time_scale,
         checkpoint_every=getattr(args, "checkpoint_every", 25),
-        predict_workers=args.predict_workers,
         tenant=getattr(args, "tenant", "default"),
         priority=getattr(args, "priority", 0),
         deadline_hours=getattr(args, "deadline_hours", None),

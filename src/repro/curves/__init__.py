@@ -6,16 +6,10 @@ Public surface:
 * :class:`CurveEnsemble` — weighted combination + posterior.
 * :class:`EnsembleSampler` — affine-invariant MCMC.
 * :class:`CurvePredictor` and its backends — what POP consumes.
-* :class:`ParallelPredictionService` / :class:`FitCache` — the §5.2
-  prediction engine: process-pool fan-out and prefix-keyed fit reuse.
+* :class:`FitCache` — opt-in prefix-keyed reuse of least-squares fits.
 """
 
-from .engine import (
-    FitCache,
-    ParallelPredictionService,
-    PredictionEngineError,
-    unwrap_service,
-)
+from .engine import FitCache
 from .ensemble import CurveEnsemble
 from .fitting import ModelFit, curve_cache_key, fit_all_models, fit_model
 from .mcmc import EnsembleSampler, SamplerResult
@@ -38,9 +32,6 @@ __all__ = [
     "fit_all_models",
     "curve_cache_key",
     "FitCache",
-    "ParallelPredictionService",
-    "PredictionEngineError",
-    "unwrap_service",
     "CurveEnsemble",
     "EnsembleSampler",
     "SamplerResult",

@@ -1,51 +1,27 @@
-"""Parallel prediction engine: process-pool fan-out + prefix-fit cache.
+"""Prefix-keyed fit cache for the least-squares predictors.
 
-HyperDrive §5.2 observes that learning-curve prediction is the
-scheduler's dominant non-training cost, and that the paper's system
-hides it by *overlapping* prediction with training.  This module is
-that overlap made concrete for the reproduction:
+:class:`FitCache` is an LRU cache of per-family least-squares fits keyed
+on the exact observed prefix.  A caller that re-predicts curves it has
+already seen (every job every round, say) attaches one with
+``LeastSquaresCurvePredictor(fit_cache=FitCache())``: repeated prefixes
+are hits, and a miss is warm-started from the ``n-1``-prefix solution.
 
-* :class:`FitCache` — an LRU cache of per-family least-squares fits
-  keyed on the exact observed prefix.  A POP scheduler re-evaluates the
-  whole job pool every epoch, but only the job that just reported has a
-  new prefix; every other curve's fits are hits.  Misses are
-  warm-started from the ``n-1``-prefix solution, so even the one cold
-  curve reuses the previous epoch's optimum as a starting point.
-* :class:`ParallelPredictionService` — a :class:`CurvePredictor` that
-  fans batches of predictions over a ``concurrent.futures`` process
-  pool.  Work units are picklable (curve prefix + horizon); each worker
-  process rebuilds the predictor once at pool start and keeps its own
-  fit cache, so nothing heavier than floats crosses the pipe.
-
-With ``workers=1`` (the default everywhere) the service is a plain
-pass-through: no pool, no cache, byte-identical results to calling the
-wrapped predictor directly.  Determinism-sensitive tests and benches
-are therefore unaffected unless a spec opts in.
+No product path attaches one.  The scheduler asks for one prediction
+per *new* prefix (``NodeAgent.predict`` after an epoch), so its hit
+ratio is 0 by construction; §5.2's "prediction off the critical path"
+is realised by running it on the Node Agents, not by caching or
+pooling (docs/algorithms.md §6, EXPERIMENTS.md "Prediction cost").
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
-import numpy as np
+from .fitting import CurveKey, ModelFit
 
-from .fitting import CurveKey, ModelFit, curve_cache_key
-from .predictor import CurvePrediction, CurvePredictor
-
-__all__ = [
-    "FitCache",
-    "ParallelPredictionService",
-    "PredictionEngineError",
-    "unwrap_service",
-]
-
-
-class PredictionEngineError(RuntimeError):
-    """A prediction worker failed in a way that poisoned the pool."""
+__all__ = ["FitCache"]
 
 
 class FitCache:
@@ -136,410 +112,3 @@ class FitCache:
                 "evictions": self.evictions,
                 "size": len(self._data),
             }
-
-
-# ---------------------------------------------------------------------------
-# Worker-process side.  Each pool worker rebuilds the predictor once (via
-# the initializer) and keeps a private fit cache; tasks only carry the
-# picklable prefix/horizon pairs plus counter deltas back.
-# ---------------------------------------------------------------------------
-
-_WORKER_PREDICTOR: Optional[CurvePredictor] = None
-_WORKER_CACHE: Optional[FitCache] = None
-
-
-def _init_worker(predictor: CurvePredictor, cache_size: int) -> None:
-    global _WORKER_PREDICTOR, _WORKER_CACHE
-    _WORKER_PREDICTOR = predictor
-    _WORKER_CACHE = None
-    if cache_size > 0 and hasattr(predictor, "fit_cache"):
-        _WORKER_CACHE = FitCache(maxsize=cache_size)
-        predictor.fit_cache = _WORKER_CACHE
-
-
-def _worker_ready() -> bool:
-    """No-op task used to force worker start-up at pool construction."""
-    return _WORKER_PREDICTOR is not None
-
-
-def _predict_chunk(
-    chunk: Sequence[Tuple[Tuple[float, ...], int]],
-) -> Tuple[List[CurvePrediction], Dict[str, int]]:
-    """Run one contiguous chunk of (prefix, horizon) work units.
-
-    Returns the predictions in order plus the fit-cache counter deltas
-    incurred by this chunk (workers are single-threaded, so a
-    before/after snapshot is exact).
-    """
-    assert _WORKER_PREDICTOR is not None, "pool initializer did not run"
-    before = _WORKER_CACHE.stats() if _WORKER_CACHE is not None else None
-    out = [
-        _WORKER_PREDICTOR.predict(np.asarray(observed, dtype=float), n_future)
-        for observed, n_future in chunk
-    ]
-    deltas: Dict[str, int] = {}
-    if before is not None and _WORKER_CACHE is not None:
-        after = _WORKER_CACHE.stats()
-        deltas = {
-            k: after[k] - before[k]
-            for k in ("hits", "misses", "warm_starts", "evictions")
-        }
-    return out, deltas
-
-
-class ParallelPredictionService(CurvePredictor):
-    """Fan :meth:`CurvePredictor.predict` calls over a process pool.
-
-    Args:
-        predictor: the backend to parallelise.  Must be picklable when
-            ``workers > 1`` (all shipped backends are; wrappers such as
-            the instrumented or lock-releasing decorators are not, so
-            the service must wrap the *raw* predictor — use
-            :func:`unwrap_service` to find it through a wrapper chain).
-        workers: pool size.  ``1`` (default) means no pool and no
-            cache: calls run inline on the caller's thread and are
-            byte-identical to ``predictor.predict``.
-        cache_size: per-process fit-cache capacity in entries (one
-            entry per (family, prefix)); ``0`` disables caching.
-        use_cache: override the cache default.  ``None`` enables the
-            cache exactly when ``workers > 1``; pass ``True`` to get
-            cached single-process prediction (used by the benchmarks)
-            or ``False`` to run a pure pool.
-        recorder: optional observability recorder; when provided the
-            service exports ``prediction_cache_*`` counters, a
-            ``prediction_pool_queue_depth`` gauge, and a request
-            counter through its metrics registry.
-        mp_context: multiprocessing context; defaults to ``fork`` when
-            the platform offers it (cheapest start-up, and the pool is
-            warmed eagerly at construction, before the host process
-            spawns threads).
-
-    The pool is *sharded*: ``workers`` single-process executors rather
-    than one executor with ``workers`` processes.  A shared executor
-    hands chunks to whichever process is free, which scatters each
-    job's prefixes across worker caches and destroys the hit rate; a
-    sharded pool routes chunk ``i`` of every batch to shard ``i`` (and
-    single ``submit`` calls by a stable prefix-head hash), so the
-    worker that cached a job's fits keeps seeing that job.
-    """
-
-    def __init__(
-        self,
-        predictor: CurvePredictor,
-        workers: int = 1,
-        cache_size: int = 2048,
-        use_cache: Optional[bool] = None,
-        recorder=None,
-        mp_context=None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if cache_size < 0:
-            raise ValueError("cache_size cannot be negative")
-        self._inner = predictor
-        self.workers = workers
-        self.cache_size = cache_size
-        self._cache_enabled = (
-            (workers > 1) if use_cache is None else bool(use_cache)
-        ) and cache_size > 0 and hasattr(predictor, "fit_cache")
-        self._closed = False
-        self._pending = 0
-        self._pending_lock = threading.Lock()
-        self._local_cache: Optional[FitCache] = None
-        self._shards: List[ProcessPoolExecutor] = []
-        self._worker_totals: Dict[str, int] = {
-            "hits": 0, "misses": 0, "warm_starts": 0, "evictions": 0,
-        }
-
-        self._m_hits = self._m_misses = self._m_warm = None
-        self._m_requests = self._m_queue_depth = None
-        if recorder is not None:
-            metrics = recorder.metrics
-            self._m_hits = metrics.counter(
-                "prediction_cache_hits_total",
-                help="Prefix-fit cache hits across all prediction workers",
-            )
-            self._m_misses = metrics.counter(
-                "prediction_cache_misses_total",
-                help="Prefix-fit cache misses across all prediction workers",
-            )
-            self._m_warm = metrics.counter(
-                "prediction_cache_warm_starts_total",
-                help="Cache misses warm-started from the n-1 prefix fit",
-            )
-            self._m_requests = metrics.counter(
-                "prediction_requests_total",
-                help="Curve predictions routed through the engine",
-            )
-            self._m_queue_depth = metrics.gauge(
-                "prediction_pool_queue_depth",
-                help="Prediction work units submitted but not yet finished",
-            )
-
-        if self._cache_enabled and workers == 1:
-            self._local_cache = FitCache(maxsize=cache_size)
-            predictor.fit_cache = self._local_cache
-
-        if workers > 1:
-            if mp_context is None:
-                import multiprocessing
-
-                try:
-                    mp_context = multiprocessing.get_context("fork")
-                except ValueError:  # pragma: no cover - non-posix
-                    mp_context = multiprocessing.get_context()
-            worker_cache_size = cache_size if self._cache_enabled else 0
-            # Ship a cache-less copy: FitCache holds a lock and must not
-            # cross the pickle boundary; workers build their own.
-            shipped = predictor
-            if getattr(predictor, "fit_cache", None) is not None:
-                import copy
-
-                shipped = copy.copy(predictor)
-                shipped.fit_cache = None
-            self._shards = [
-                ProcessPoolExecutor(
-                    max_workers=1,
-                    mp_context=mp_context,
-                    initializer=_init_worker,
-                    initargs=(shipped, worker_cache_size),
-                )
-                for _ in range(workers)
-            ]
-            # Warm up eagerly: forking after the host process has
-            # started threads (live runtime, HTTP daemon) is unsafe, so
-            # force every worker to exist right now.
-            try:
-                for fut in [
-                    shard.submit(_worker_ready) for shard in self._shards
-                ]:
-                    fut.result()
-            except BrokenProcessPool as exc:
-                for shard in self._shards:
-                    shard.shutdown(wait=False, cancel_futures=True)
-                raise PredictionEngineError(
-                    "prediction pool failed to start (is the predictor"
-                    " picklable?)"
-                ) from exc
-
-    # -- CurvePredictor interface -----------------------------------------
-
-    @property
-    def inner(self) -> CurvePredictor:
-        return self._inner
-
-    def min_observations(self) -> int:
-        return self._inner.min_observations()
-
-    def predict(
-        self, observed: Sequence[float], n_future: int
-    ) -> CurvePrediction:
-        """Predict one curve (inline at ``workers=1``, pooled otherwise)."""
-        return self.predict_batch([(observed, n_future)])[0]
-
-    # -- batch / async API -------------------------------------------------
-
-    def predict_batch(
-        self, requests: Sequence[Tuple[Sequence[float], int]]
-    ) -> List[CurvePrediction]:
-        """Predict many curves, preserving request order.
-
-        Requests are split into contiguous chunks; chunk ``i`` always
-        runs on shard ``i``, so a stable batch composition (the POP
-        per-epoch re-evaluation) keeps every job on the worker whose
-        cache holds its fits.
-        """
-        if self._closed:
-            raise PredictionEngineError("prediction service is closed")
-        n = len(requests)
-        if n == 0:
-            return []
-        if self._m_requests is not None:
-            self._m_requests.inc(n)
-        if not self._shards:
-            out = []
-            for observed, n_future in requests:
-                before = (
-                    self._local_cache.stats() if self._local_cache else None
-                )
-                out.append(self._inner.predict(observed, n_future))
-                if before is not None:
-                    self._publish_local_delta(before)
-            return out
-
-        work = [
-            (tuple(float(v) for v in observed), int(n_future))
-            for observed, n_future in requests
-        ]
-        n_chunks = min(self.workers, n)
-        bounds = np.linspace(0, n, n_chunks + 1).astype(int)
-        chunks = [
-            work[bounds[i]: bounds[i + 1]]
-            for i in range(n_chunks)
-            if bounds[i] < bounds[i + 1]
-        ]
-        self._note_submitted(n)
-        try:
-            futures = [
-                self._shards[i].submit(_predict_chunk, chunk)
-                for i, chunk in enumerate(chunks)
-            ]
-            results: List[CurvePrediction] = []
-            for fut, chunk in zip(futures, chunks):
-                preds, deltas = fut.result()
-                results.extend(preds)
-                self._note_done(len(chunk))
-                self._publish_worker_delta(deltas)
-            return results
-        except BrokenProcessPool as exc:
-            self._note_done(self._pending)
-            self.close()
-            raise PredictionEngineError(
-                "a prediction worker process died; the pool has been shut"
-                " down"
-            ) from exc
-
-    def submit(
-        self, observed: Sequence[float], n_future: int
-    ) -> "Future[CurvePrediction]":
-        """Asynchronous single prediction (completed future at workers=1).
-
-        Pooled submissions are routed by a stable hash of the curve's
-        first observations — a job's earliest epochs never change, so
-        repeated predictions of the same (growing) curve land on the
-        same shard's cache.
-        """
-        if self._closed:
-            raise PredictionEngineError("prediction service is closed")
-        if not self._shards:
-            fut: "Future[CurvePrediction]" = Future()
-            try:
-                fut.set_result(self.predict(observed, n_future))
-            except Exception as exc:  # surface through the future, like a pool
-                fut.set_exception(exc)
-            return fut
-        if self._m_requests is not None:
-            self._m_requests.inc()
-        work = [(tuple(float(v) for v in observed), int(n_future))]
-        head = np.asarray(work[0][0][:3], dtype=float)
-        _, digest = curve_cache_key(head)
-        shard = self._shards[int.from_bytes(digest[:4], "little") % self.workers]
-        self._note_submitted(1)
-        raw = shard.submit(_predict_chunk, work)
-        out: "Future[CurvePrediction]" = Future()
-
-        def _unwrap(done: "Future") -> None:
-            self._note_done(1)
-            exc = done.exception()
-            if isinstance(exc, BrokenProcessPool):
-                out.set_exception(
-                    PredictionEngineError(
-                        "a prediction worker process died"
-                    )
-                )
-                return
-            if exc is not None:
-                out.set_exception(exc)
-                return
-            preds, deltas = done.result()
-            self._publish_worker_delta(deltas)
-            out.set_result(preds[0])
-
-        raw.add_done_callback(_unwrap)
-        return out
-
-    # -- cache stats -------------------------------------------------------
-
-    @property
-    def cache_enabled(self) -> bool:
-        return self._cache_enabled
-
-    @property
-    def local_cache(self) -> Optional[FitCache]:
-        """The in-process cache (``workers=1`` only; pools keep theirs
-        worker-side and report deltas through the metrics counters)."""
-        return self._local_cache
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Aggregated demand-traffic counters seen by this service."""
-        if self._local_cache is not None:
-            return self._local_cache.stats()
-        with self._pending_lock:
-            return dict(self._worker_totals)
-
-    def _publish_local_delta(self, before: Dict[str, int]) -> None:
-        after = self._local_cache.stats()
-        deltas = {
-            k: after[k] - before[k]
-            for k in ("hits", "misses", "warm_starts", "evictions")
-        }
-        self._export_metrics(deltas)
-
-    def _publish_worker_delta(self, deltas: Dict[str, int]) -> None:
-        if not deltas:
-            return
-        with self._pending_lock:
-            for k, v in deltas.items():
-                self._worker_totals[k] = self._worker_totals.get(k, 0) + v
-        self._export_metrics(deltas)
-
-    def _export_metrics(self, deltas: Dict[str, int]) -> None:
-        if self._m_hits is None:
-            return
-        if deltas.get("hits"):
-            self._m_hits.inc(deltas["hits"])
-        if deltas.get("misses"):
-            self._m_misses.inc(deltas["misses"])
-        if deltas.get("warm_starts"):
-            self._m_warm.inc(deltas["warm_starts"])
-
-    def _note_submitted(self, n: int) -> None:
-        with self._pending_lock:
-            self._pending += n
-            depth = self._pending
-        if self._m_queue_depth is not None:
-            self._m_queue_depth.set(depth)
-
-    def _note_done(self, n: int) -> None:
-        with self._pending_lock:
-            self._pending = max(0, self._pending - n)
-            depth = self._pending
-        if self._m_queue_depth is not None:
-            self._m_queue_depth.set(depth)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut the pool down; idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        for shard in self._shards:
-            shard.shutdown(wait=False, cancel_futures=True)
-        self._shards = []
-
-    def __enter__(self) -> "ParallelPredictionService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def unwrap_service(
-    predictor: Optional[CurvePredictor],
-) -> Optional[ParallelPredictionService]:
-    """Find a :class:`ParallelPredictionService` through wrapper chains.
-
-    Wrappers (instrumentation, lock management) expose the wrapped
-    predictor as an ``inner`` property; this walks that chain so
-    callers can reach the service for ``predict_batch``/``close``
-    without knowing the decoration order, and so schedulers avoid
-    double-wrapping a predictor that is already pooled.
-    """
-    seen = 0
-    while predictor is not None and seen < 16:
-        if isinstance(predictor, ParallelPredictionService):
-            return predictor
-        predictor = getattr(predictor, "inner", None)
-        seen += 1
-    return None

@@ -433,10 +433,6 @@ class InstrumentedCurvePredictor(CurvePredictor):
             "predictor_fits_total", help="Curve predictions computed"
         )
 
-    @property
-    def inner(self) -> CurvePredictor:
-        return self._inner
-
     def min_observations(self) -> int:
         return self._inner.min_observations()
 

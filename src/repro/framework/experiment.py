@@ -62,13 +62,6 @@ class ExperimentSpec:
             epochs take half as long on that machine).  None = a
             homogeneous cluster, the paper's setting; heterogeneity
             stresses POP's roughly-constant-epoch assumption (§9).
-        predict_workers: process-pool size for curve prediction
-            (§5.2's overlap, realised as the parallel prediction
-            engine).  ``1`` (default) keeps the legacy inline path —
-            byte-identical predictions, no pool, no cache — so
-            deterministic benches are unaffected unless a spec opts in.
-        predict_cache_size: per-process prefix-fit cache capacity in
-            entries; only consulted when ``predict_workers > 1``.
     """
 
     num_machines: int = 4
@@ -86,8 +79,6 @@ class ExperimentSpec:
     machine_recovery_seconds: float = 300.0
     checkpoint_interval: Optional[int] = None
     machine_speed_factors: Optional[Tuple[float, ...]] = None
-    predict_workers: int = 1
-    predict_cache_size: int = 2048
 
     def __post_init__(self) -> None:
         if self.num_machines < 1:
@@ -113,10 +104,6 @@ class ExperimentSpec:
             raise ValueError("machine_recovery_seconds cannot be negative")
         if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1 when given")
-        if self.predict_workers < 1:
-            raise ValueError("predict_workers must be >= 1")
-        if self.predict_cache_size < 0:
-            raise ValueError("predict_cache_size cannot be negative")
         if self.machine_speed_factors is not None:
             factors = tuple(self.machine_speed_factors)
             if len(factors) != self.num_machines:

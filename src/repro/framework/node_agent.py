@@ -172,9 +172,8 @@ class NodeAgent:
         self.predictions_made += 1
         self._m_predictions.inc()
         # Hand the predictor an immutable snapshot of the history: the
-        # parallel engine may ship it to a worker process (or hold it
-        # past this call), and the live runtime keeps training — the
-        # list must not mutate under the prediction.
+        # live runtime predicts outside the scheduler lock while
+        # training continues — the list must not mutate under it.
         observed = tuple(self._curve)
         with self._recorder.tracer.span(
             "agent.predict",

@@ -25,7 +25,6 @@ import logging
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..curves.engine import ParallelPredictionService, unwrap_service
 from ..curves.predictor import (
     CurvePrediction,
     CurvePredictor,
@@ -103,25 +102,6 @@ class HyperDriveScheduler:
         self._clock = clock
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.recorder.bind_clock(self._clock)
-        # Parallel prediction engine (§5.2): pool + prefix-fit cache.
-        # Only built when the spec opts in and the caller has not
-        # already wrapped the predictor in a service of its own; the
-        # service must wrap the raw (picklable) predictor, so it goes
-        # innermost, before any instrumentation decorator.
-        self._owned_prediction_service: Optional[ParallelPredictionService] = None
-        if (
-            predictor is not None
-            and spec.predict_workers > 1
-            and unwrap_service(predictor) is None
-        ):
-            service_recorder = self.recorder if self.recorder.enabled else None
-            predictor = ParallelPredictionService(
-                predictor,
-                workers=spec.predict_workers,
-                cache_size=spec.predict_cache_size,
-                recorder=service_recorder,
-            )
-            self._owned_prediction_service = predictor
         if self.recorder.enabled and predictor is not None:
             predictor = InstrumentedCurvePredictor(predictor, self.recorder)
         self.job_manager = JobManager(recorder=self.recorder)
@@ -570,18 +550,7 @@ class HyperDriveScheduler:
         )
         if self.recorder.enabled:
             self.result.observability = self.recorder.snapshot()
-        self.close()
         return self.result
-
-    def close(self) -> None:
-        """Release scheduler-owned resources (the prediction pool).
-
-        Idempotent; called by :meth:`finalize` and by backends' cleanup
-        paths so worker processes never outlive the experiment.
-        """
-        if self._owned_prediction_service is not None:
-            self._owned_prediction_service.close()
-            self._owned_prediction_service = None
 
     # ----------------------------------------------------- context closures
 

@@ -12,16 +12,14 @@ the observability registry (``lab_cells_done``, ``lab_cells_skipped``,
 ``lab_cell_completed`` / ``lab_cell_skipped`` / ``lab_study_finished``).
 
 Cell execution reuses :func:`repro.sim.runner.run_simulation` verbatim
-— a study is exactly N independent experiments, with the spec's
-``predict_workers`` plumbed through to each cell's prediction engine.
+— a study is exactly N independent experiments.
 
 Each cell also runs under its own private
 :class:`~repro.observability.metrics.MetricsRegistry` and returns a
 compact **telemetry digest** (wall/CPU seconds, predictor fit counts,
-prefix-fit cache hit rate, epochs) that crosses the process-pool
-boundary inside the cell payload, is persisted in the cell record and
-the completion journal, and feeds the study registry's
-``lab_cell_cpu_seconds`` on the parent side.
+epochs) that crosses the process-pool boundary inside the cell payload,
+is persisted in the cell record and the completion journal, and feeds
+the study registry's ``lab_cell_cpu_seconds`` on the parent side.
 """
 
 from __future__ import annotations
@@ -61,19 +59,11 @@ def telemetry_digest(
             return 0.0
         return float(sum(value for _, value in family.samples()))
 
-    hits = total("prediction_cache_hits_total")
-    misses = total("prediction_cache_misses_total")
-    lookups = hits + misses
     return {
         "wall_seconds": wall_seconds,
         "cpu_seconds": cpu_seconds,
         "epochs": total("scheduler_epochs_total"),
         "predictor_fits": total("predictor_fits_total"),
-        "prediction_cache_hits": hits,
-        "prediction_cache_misses": misses,
-        "prediction_cache_hit_rate": (
-            hits / lookups if lookups else None
-        ),
     }
 
 
@@ -148,8 +138,6 @@ def execute_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
         target=cell.target,
         tmax=cell.tmax_hours * 3600.0,
         stop_on_target=cell.stop_on_target,
-        predict_workers=cell.predict_workers,
-        predict_cache_size=cell.predict_cache_size,
     )
     from ..sim.runner import run_simulation
 
@@ -304,7 +292,6 @@ class StudyRunner:
             label=payload["label"],
             wall_seconds=round(payload["wall_seconds"], 3),
             cpu_seconds=round(telemetry.get("cpu_seconds", 0.0), 3),
-            cache_hit_rate=telemetry.get("prediction_cache_hit_rate"),
         )
         if on_cell is not None:
             on_cell(progress)

@@ -81,8 +81,6 @@ class Cell:
     target: Optional[float]
     tmax_hours: float
     stop_on_target: bool
-    predict_workers: int
-    predict_cache_size: int
     #: Machine-hour budget handed to budget-aware policies (via their
     #: ``configure_budget`` hook); None leaves the policy's default.
     budget_slot_hours: Optional[float] = None
@@ -162,9 +160,6 @@ class StudySpec:
         target: raw-scale target metric; ``None`` = domain default.
         tmax_hours: per-cell experiment horizon.
         stop_on_target: end each cell at first target hit.
-        predict_workers: prediction process-pool size *inside* each
-            cell (plumbed to ``ExperimentSpec.predict_workers``).
-        predict_cache_size: per-process prefix-fit cache entries.
         compare_axis: which axis's levels are compared
             (:data:`COMPARE_AXES`).
         baseline: ``{compare_axis: level}`` naming the baseline level;
@@ -197,8 +192,6 @@ class StudySpec:
     target: Optional[float] = None
     tmax_hours: float = 48.0
     stop_on_target: bool = True
-    predict_workers: int = 1
-    predict_cache_size: int = 2048
     compare_axis: str = "policy"
     baseline: Dict[str, Any] = field(default_factory=lambda: {"policy": "pop"})
     metric: str = "time_to_target"
@@ -267,10 +260,6 @@ class StudySpec:
             raise ValueError("num_configs must be >= 1")
         if self.tmax_hours <= 0:
             raise ValueError("tmax_hours must be positive")
-        if self.predict_workers < 1:
-            raise ValueError("predict_workers must be >= 1")
-        if self.predict_cache_size < 0:
-            raise ValueError("predict_cache_size cannot be negative")
         if self.compare_axis not in COMPARE_AXES:
             raise ValueError(
                 f"compare_axis must be one of {COMPARE_AXES}, "
@@ -367,8 +356,6 @@ class StudySpec:
                     target=self.target,
                     tmax_hours=self.tmax_hours,
                     stop_on_target=self.stop_on_target,
-                    predict_workers=self.predict_workers,
-                    predict_cache_size=self.predict_cache_size,
                     budget_slot_hours=self.budget_slot_hours,
                     gen_seed_mode=self.gen_seed_mode,
                 )

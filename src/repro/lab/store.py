@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Union
 
@@ -32,7 +33,7 @@ __all__ = ["StudyMismatchError", "CellStore"]
 
 
 class StudyMismatchError(ValueError):
-    """The store already belongs to a different study spec."""
+    """The store belongs to a different study spec (or spec version)."""
 
 
 class CellStore:
@@ -78,7 +79,15 @@ class CellStore:
             raise FileNotFoundError(
                 f"{self.spec_path} does not exist — not a study directory?"
             )
-        return StudySpec.from_json_file(self.spec_path)
+        payload = json.loads(self.spec_path.read_text())
+        stale = sorted(set(payload) - {f.name for f in fields(StudySpec)})
+        if stale:
+            raise StudyMismatchError(
+                f"{self.spec_path} carries retired fields "
+                f"({', '.join(stale)}): store written by repro < 1.6; "
+                "re-run into a fresh --out"
+            )
+        return StudySpec.from_dict(payload)
 
     # ------------------------------------------------------------ cells
 
@@ -104,7 +113,6 @@ class CellStore:
                 "label": payload.get("label"),
                 "wall_seconds": payload.get("wall_seconds"),
                 "cpu_seconds": telemetry.get("cpu_seconds"),
-                "cache_hit_rate": telemetry.get("prediction_cache_hit_rate"),
             },
             sort_keys=True,
         )

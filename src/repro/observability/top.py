@@ -14,8 +14,8 @@ This module turns that document into a fixed-width text dashboard:
   ``cluster_heartbeat_rtt_seconds`` summary and the heartbeat snapshot
   shipped in the head's meta);
 * **experiments** — per-experiment best metric
-  (``experiment_best_metric``), lowest ERT (``pop_best_ert_seconds``),
-  epochs trained, and predictor cache hit rate;
+  (``experiment_best_metric``), lowest ERT (``pop_best_ert_seconds``)
+  and epochs trained;
 * **tenants** — the resource broker's per-tenant view from the daemon's
   self-ingested ``service`` node: queued/running experiments, slots
   held, budget spent/remaining, tightest deadline countdown (the
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-__all__ = ["render_top", "node_row", "cache_hit_rate"]
+__all__ = ["render_top", "node_row"]
 
 
 def _metric_total(metrics: Mapping[str, Any], name: str) -> Optional[float]:
@@ -80,18 +80,6 @@ def _labelled_values(
     return out
 
 
-def cache_hit_rate(metrics: Mapping[str, Any]) -> Optional[float]:
-    """Predictor prefix-fit cache hit rate from one node's snapshot."""
-    hits = _metric_total(metrics, "prediction_cache_hits_total")
-    misses = _metric_total(metrics, "prediction_cache_misses_total")
-    if hits is None and misses is None:
-        return None
-    total = (hits or 0.0) + (misses or 0.0)
-    if total == 0:
-        return 0.0
-    return (hits or 0.0) / total
-
-
 def _fmt(value: Optional[float], spec: str = ".3f", na: str = "-") -> str:
     return na if value is None else format(value, spec)
 
@@ -108,7 +96,6 @@ def node_row(node: str, record: Mapping[str, Any]) -> Dict[str, Any]:
         "epochs": _metric_total(metrics, "scheduler_epochs_total"),
         "best_metric": _metric_total(metrics, "experiment_best_metric"),
         "best_ert": _metric_total(metrics, "pop_best_ert_seconds"),
-        "cache_hit_rate": cache_hit_rate(metrics),
     }
 
 
@@ -171,19 +158,13 @@ def _experiment_section(
         rows.append(row)
     if not rows:
         return []
-    lines = [
-        f"{'EXPERIMENT':<14} {'EPOCHS':>7} {'BEST':>8} {'ERT':>9} "
-        f"{'CACHE':>6}"
-    ]
+    lines = [f"{'EXPERIMENT':<14} {'EPOCHS':>7} {'BEST':>8} {'ERT':>9}"]
     for row in rows:
         ert = row["best_ert"]
         ert_text = "-" if not ert else f"{ert / 60:.1f}min"
-        rate = row["cache_hit_rate"]
-        rate_text = "-" if rate is None else f"{rate * 100:.0f}%"
         lines.append(
             f"{row['node']:<14} {_fmt(row['epochs'], '.0f'):>7} "
-            f"{_fmt(row['best_metric'], '.4f'):>8} {ert_text:>9} "
-            f"{rate_text:>6}"
+            f"{_fmt(row['best_metric'], '.4f'):>8} {ert_text:>9}"
         )
     return lines
 

@@ -21,7 +21,6 @@ import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Optional, Sequence
 
-from ..curves.engine import ParallelPredictionService, unwrap_service
 from ..curves.predictor import CurvePredictor
 from ..framework.experiment import ExperimentResult, ExperimentSpec
 from ..framework.scheduler import FollowUpAction, HyperDriveScheduler
@@ -52,11 +51,6 @@ class _UnlockedPredictor(CurvePredictor):
     def __init__(self, inner: CurvePredictor, lock) -> None:
         self._inner = inner
         self._lock = lock
-
-    @property
-    def inner(self) -> CurvePredictor:
-        """Wrapped predictor (lets ``unwrap_service`` walk the chain)."""
-        return self._inner
 
     def min_observations(self) -> int:
         return self._inner.min_observations()
@@ -101,20 +95,6 @@ class _LiveExperiment:
             "runtime_lock_wait_seconds",
             help="Wall seconds worker threads waited on the scheduler lock",
         )
-        # The prediction pool must wrap the *raw* predictor (the
-        # lock-releasing decorator is not picklable) and must be built
-        # here, before any worker thread exists: the pool forks, and
-        # forking a multi-threaded process is unsafe.
-        self._prediction_service: Optional[ParallelPredictionService] = None
-        if spec.predict_workers > 1 and unwrap_service(predictor) is None:
-            service_recorder = self.recorder if self.recorder.enabled else None
-            predictor = ParallelPredictionService(
-                predictor,
-                workers=spec.predict_workers,
-                cache_size=spec.predict_cache_size,
-                recorder=service_recorder,
-            )
-            self._prediction_service = predictor
         self.scheduler = HyperDriveScheduler(
             workload=workload,
             policy=policy,
@@ -247,19 +227,10 @@ class _LiveExperiment:
             # abandon the workers silently: stop them best-effort, then
             # let the original exception propagate.
             self._shutdown(strict=False)
-            self._close_prediction_service()
             raise
         self._shutdown(strict=True)
-        # Workers have joined, so no prediction can be in flight; the
-        # pool processes must not outlive the experiment.
-        self._close_prediction_service()
         with self.lock:
             return self.scheduler.finalize()
-
-    def _close_prediction_service(self) -> None:
-        if self._prediction_service is not None:
-            self._prediction_service.close()
-            self._prediction_service = None
 
     def _monitor(self) -> None:
         """Wait for completion, cancellation, or the Tmax deadline,

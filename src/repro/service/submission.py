@@ -21,6 +21,11 @@ from ..workloads.base import Workload
 
 __all__ = ["Submission"]
 
+#: Fields a pre-1.6 client or run-store journal may still carry.  They
+#: are dropped on load (the prediction pool they sized is gone) so old
+#: journals resume; every other unknown key is still an error.
+_RETIRED = ("predict_workers",)
+
 
 @dataclass
 class Submission:
@@ -42,9 +47,6 @@ class Submission:
         time_scale: wall seconds per simulated second (live runtime).
         checkpoint_every: epochs between service checkpoints written to
             the run store (progress visibility + resume bookkeeping).
-        predict_workers: prediction process-pool size (§5.2 overlap);
-            1 keeps the legacy inline predictor, which is the
-            deterministic default.
         tenant: broker tenant this submission bills to (quotas, rate
             limits, budget accounting).
         priority: admission priority — higher claims first; a strictly
@@ -69,7 +71,6 @@ class Submission:
     live: bool = False
     time_scale: float = 1e-3
     checkpoint_every: int = 25
-    predict_workers: int = 1
     tenant: str = "default"
     priority: int = 0
     deadline_hours: Optional[float] = None
@@ -96,8 +97,6 @@ class Submission:
             raise ValueError("time_scale must be positive")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.predict_workers < 1:
-            raise ValueError("predict_workers must be >= 1")
         if not self.tenant or not isinstance(self.tenant, str):
             raise ValueError("tenant must be a non-empty string")
         if not isinstance(self.priority, int) or isinstance(self.priority, bool):
@@ -117,10 +116,12 @@ class Submission:
         """Build a validated submission from a JSON payload.
 
         Unknown keys are rejected so a typoed field fails the request
-        instead of silently running with defaults.
+        instead of silently running with defaults; :data:`_RETIRED`
+        keys are accepted and ignored.
         """
         if not isinstance(data, dict):
             raise ValueError("submission must be a JSON object")
+        data = {k: v for k, v in data.items() if k not in _RETIRED}
         allowed = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - allowed)
         if unknown:
@@ -163,5 +164,4 @@ class Submission:
             target=self.target,
             tmax=self.tmax_hours * 3600.0,
             stop_on_target=self.stop_on_target,
-            predict_workers=self.predict_workers,
         )

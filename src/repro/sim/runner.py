@@ -139,17 +139,12 @@ def run_simulation(
             return True
         return stop_check is not None and stop_check()
 
-    try:
-        if setup_hook is not None:
-            setup_hook(scheduler)
-        scheduler.begin()
-        _schedule_started_machines(scheduler, engine, generations)
-        engine.run(until=spec.tmax, stop_when=_stop_when)
-        return scheduler.finalize()
-    finally:
-        # finalize() already closes scheduler-owned resources; this
-        # covers exception exits so prediction workers never leak.
-        scheduler.close()
+    if setup_hook is not None:
+        setup_hook(scheduler)
+    scheduler.begin()
+    _schedule_started_machines(scheduler, engine, generations)
+    engine.run(until=spec.tmax, stop_when=_stop_when)
+    return scheduler.finalize()
 
 
 def _arm_failures(

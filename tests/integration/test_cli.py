@@ -92,6 +92,14 @@ def test_unknown_policy_rejected():
         main(["run", "--policy", "nonsense"])
 
 
+@pytest.mark.parametrize("verb", ["run", "submit"])
+def test_retired_predict_workers_flag_is_an_argparse_error(verb, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([verb, "--predict-workers", "2"])
+    assert excinfo.value.code == 2
+    assert "--predict-workers" in capsys.readouterr().err
+
+
 def test_run_json_emits_machine_readable_result(capsys):
     code = main(
         [

@@ -153,11 +153,6 @@ class TestCellTelemetry:
         assert telemetry["wall_seconds"] == payload["wall_seconds"]
         assert telemetry["cpu_seconds"] > 0.0
         assert telemetry["epochs"] > 0
-        # The sim path with predict_workers=1 runs the inline
-        # predictor: no cache, so the rate is None, not 0/0 noise.
-        assert telemetry["prediction_cache_hit_rate"] is None or (
-            0.0 <= telemetry["prediction_cache_hit_rate"] <= 1.0
-        )
 
     def test_digest_persisted_in_cell_record_and_journal(self, tmp_path):
         spec = fast_spec(policies=("default",))
@@ -170,7 +165,6 @@ class TestCellTelemetry:
         assert record["telemetry"]["cpu_seconds"] > 0.0
         (entry,) = store.journal()
         assert entry["cpu_seconds"] == record["telemetry"]["cpu_seconds"]
-        assert "cache_hit_rate" in entry
         # Parent-side metering saw the child's CPU time.
         histogram = runner.recorder.metrics.get("lab_cell_cpu_seconds")
         assert histogram.count() == 1
@@ -184,7 +178,6 @@ class TestCellTelemetry:
             if r.kind == "lab_cell_completed"
         ]
         assert record.data["cpu_seconds"] > 0.0
-        assert "cache_hit_rate" in record.data
 
     def test_fake_payload_without_telemetry_tolerated(
         self, tmp_path, patched_execute

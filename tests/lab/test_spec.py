@@ -88,8 +88,6 @@ def test_invalid_scalar_knobs_rejected():
         make_spec(tmax_hours=0.0)
     with pytest.raises(ValueError, match="machines"):
         make_spec(machines=(0,))
-    with pytest.raises(ValueError, match="predict_workers"):
-        make_spec(predict_workers=0)
 
 
 # -------------------------------------------------------------- expansion
@@ -200,8 +198,6 @@ def test_cell_label_mentions_distinguishing_parts():
         target=None,
         tmax_hours=1.0,
         stop_on_target=True,
-        predict_workers=1,
-        predict_cache_size=0,
     )
     assert cell.label() == "cifar10/pop/8m/s3/o5"
     assert "random" in cell.__class__(**{**cell.__dict__, "generator": "random"}).label()

@@ -73,6 +73,26 @@ def test_load_spec_missing(tmp_path):
         CellStore(tmp_path).load_spec()
 
 
+def test_load_spec_refuses_pre_1_6_store(tmp_path):
+    """A study.json from before 1.6 pins the two retired pool fields;
+    resume/report must name the fix instead of dying in from_dict."""
+    store = CellStore(tmp_path)
+    stale = {
+        **make_spec().to_dict(),
+        "predict_workers": 1,
+        "predict_cache_size": 2048,
+    }
+    store.spec_path.write_text(json.dumps(stale))
+    with pytest.raises(
+        StudyMismatchError, match=r"repro < 1\.6; re-run into a fresh --out"
+    ) as excinfo:
+        store.load_spec()
+    assert "predict_cache_size, predict_workers" in str(excinfo.value)
+    # ...and a new-version run into the same directory is refused too.
+    with pytest.raises(StudyMismatchError, match="different spec"):
+        store.save_spec(make_spec())
+
+
 def test_find_missing(tmp_path):
     spec = make_spec()
     store = CellStore(tmp_path)

@@ -2,7 +2,7 @@
 
 from repro.observability.aggregator import TelemetryAggregator
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.top import cache_hit_rate, node_row, render_top
+from repro.observability.top import node_row, render_top
 
 
 def head_registry():
@@ -34,26 +34,8 @@ def telemetry_doc():
     )
     worker = MetricsRegistry()
     worker.gauge("worker_up").set(1)
-    worker.counter("prediction_cache_hits_total").inc(3)
-    worker.counter("prediction_cache_misses_total").inc(1)
     aggregator.ingest_registry("machine-00", worker)
     return aggregator.to_dict()
-
-
-class TestCacheHitRate:
-    def test_rate(self):
-        registry = MetricsRegistry()
-        registry.counter("prediction_cache_hits_total").inc(3)
-        registry.counter("prediction_cache_misses_total").inc(1)
-        assert cache_hit_rate(registry.to_dict()) == 0.75
-
-    def test_absent_counters(self):
-        assert cache_hit_rate({}) is None
-
-    def test_zero_lookups(self):
-        registry = MetricsRegistry()
-        registry.counter("prediction_cache_hits_total")
-        assert cache_hit_rate(registry.to_dict()) == 0.0
 
 
 class TestNodeRow:
@@ -68,7 +50,6 @@ class TestNodeRow:
         doc = telemetry_doc()
         row = node_row("machine-00", doc["nodes"]["machine-00"])
         assert row["epochs"] is None
-        assert row["cache_hit_rate"] == 0.75
 
 
 class TestRenderTop:

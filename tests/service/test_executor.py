@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -138,3 +139,51 @@ def test_resume_completes_an_interrupted_experiment(tmp_path, small_submission):
     assert "resumed" in kinds
     # the resumed run used the journaled configs, not fresh mints
     assert reopened.minted_configs(record.id) == configs
+
+
+#: The ``submitted`` journal line repro 1.5 wrote for ``small_submission``
+#: (hand-written; note the since-retired ``predict_workers`` key).
+PRE_1_6_SUBMITTED = (
+    '{"kind": "submitted", "wall_time": 1700000000.0, "submission": '
+    '{"workload": "cifar10", "policy": "bandit", "generator": "random", '
+    '"machines": 2, "configs": 6, "seed": 1, "gen_seed": null, '
+    '"target": null, "tmax_hours": 48.0, "stop_on_target": true, '
+    '"live": false, "time_scale": 0.001, "checkpoint_every": 5, '
+    '"predict_workers": 1, "tenant": "default", "priority": 0, '
+    '"deadline_hours": null, "budget_slot_hours": null}}'
+)
+
+
+def test_resume_over_pre_1_6_run_store_matches_fresh_run(
+    tmp_path, small_submission
+):
+    """A daemon restarted over a 1.5 run store (journal line and sqlite
+    row both carry ``predict_workers``) resumes to the fresh-run result."""
+    root = tmp_path / "runs"
+    store = RunStore(root)
+    exp_id = "exp-0123456789ab"
+    legacy = json.loads(PRE_1_6_SUBMITTED)["submission"]
+    store.journal_path(exp_id).write_text(PRE_1_6_SUBMITTED + "\n")
+    with store._connect() as conn:
+        conn.execute(
+            "INSERT INTO experiments"
+            " (id, submission, status, created_at, tenant, priority)"
+            " VALUES (?, ?, 'running', 0.0, 'default', 0)",
+            (exp_id, json.dumps(legacy)),
+        )
+    store.close()
+
+    reopened = RunStore(root)
+    assert reopened.recover_interrupted() == [exp_id]
+    resumed = executor.resume(reopened, exp_id)
+    assert resumed.status == COMPLETED
+
+    fresh_store = RunStore(tmp_path / "fresh")
+    fresh = executor.execute(
+        fresh_store, fresh_store.submit(small_submission).id
+    )
+    # Everything but the wall-clock span timings is bit-identical.
+    resumed.result.pop("observability")
+    fresh.result.pop("observability")
+    assert resumed.result == fresh.result
+    assert "predict_workers" not in resumed.result["spec"]

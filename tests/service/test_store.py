@@ -34,6 +34,14 @@ def test_submit_accepts_plain_dict(store):
     assert store.get(record.id).submission["workload"] == "mlp"
 
 
+def test_submit_accepts_and_drops_retired_predict_workers(store):
+    """Pre-1.6 clients still send it; the pool it sized is gone."""
+    record = store.submit({"workload": "mlp", "predict_workers": 4})
+    assert "predict_workers" not in store.get(record.id).submission
+    (event,) = store.read_events(record.id)
+    assert "predict_workers" not in event["submission"]
+
+
 def test_submit_rejects_unknown_fields(store):
     with pytest.raises(ValueError, match="unknown submission fields"):
         store.submit({"workloadd": "mlp"})
