@@ -80,6 +80,7 @@ class ServiceClient:
         method: str,
         path: str,
         payload: Optional[Dict[str, Any]] = None,
+        timeout: Optional[float] = None,
     ) -> bytes:
         data = None
         headers = {"Accept": "application/json"}
@@ -90,7 +91,9 @@ class ServiceClient:
             self.base_url + path, data=data, headers=headers, method=method
         )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+            with urllib.request.urlopen(
+                request, timeout=timeout or self.timeout
+            ) as resp:
                 return resp.read()
         except urllib.error.HTTPError as err:
             body = err.read()
@@ -117,11 +120,12 @@ class ServiceClient:
         method: str,
         path: str,
         payload: Optional[Dict[str, Any]] = None,
+        timeout: Optional[float] = None,
     ) -> bytes:
         attempt = 0
         while True:
             try:
-                return self._request_once(method, path, payload)
+                return self._request_once(method, path, payload, timeout)
             except ServiceError as err:
                 if (
                     err.status not in _RETRYABLE_STATUSES
@@ -142,8 +146,9 @@ class ServiceClient:
         method: str,
         path: str,
         payload: Optional[Dict[str, Any]] = None,
+        timeout: Optional[float] = None,
     ) -> Dict[str, Any]:
-        return json.loads(self._request(method, path, payload))
+        return json.loads(self._request(method, path, payload, timeout))
 
     # ------------------------------------------------------------ endpoints
 
@@ -157,8 +162,17 @@ class ServiceClient:
     def list_experiments(self) -> List[Dict[str, Any]]:
         return self._request_json("GET", "/experiments")["experiments"]
 
-    def get(self, exp_id: str) -> Dict[str, Any]:
-        return self._request_json("GET", f"/experiments/{exp_id}")
+    def get(self, exp_id: str, wait: Optional[float] = None) -> Dict[str, Any]:
+        """One experiment record.  With ``wait`` the daemon holds the
+        answer until the status changes or ``wait`` seconds pass (a
+        terminal experiment answers at once); daemons before 1.7 ignore
+        it and answer at once."""
+        if wait is None:
+            return self._request_json("GET", f"/experiments/{exp_id}")
+        return self._request_json(
+            "GET", f"/experiments/{exp_id}?wait={float(wait)}",
+            timeout=self.timeout + wait,
+        )
 
     def events(self, exp_id: str, offset: int = 0) -> List[Dict[str, Any]]:
         """Journal events from ``offset`` (NDJSON decoded client-side)."""
@@ -243,11 +257,18 @@ class ServiceClient:
         timeout: Optional[float] = None,
         on_update: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> Dict[str, Any]:
-        """Poll an experiment until it reaches a terminal status.
+        """Follow an experiment until it reaches a terminal status.
+
+        The first read answers at once; every later one long-polls
+        (``get(wait=poll_seconds)``), so a status change — the terminal
+        one included — arrives as soon as it happens, and a run that
+        does not change is re-read every ``poll_seconds``.  Against a
+        daemon that ignores ``wait`` (before 1.7) the rest of the
+        interval is slept instead.
 
         Args:
             exp_id: experiment id.
-            poll_seconds: polling interval.
+            poll_seconds: longest interval between updates.
             timeout: give up after this many wall seconds (None = wait
                 forever).
             on_update: called with the record whenever the
@@ -261,8 +282,12 @@ class ServiceClient:
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         last_seen: Optional[str] = None
+        last_status: Optional[str] = None
         while True:
-            record = self.get(exp_id)
+            asked = time.monotonic()
+            record = self.get(
+                exp_id, wait=None if last_status is None else poll_seconds
+            )
             fingerprint = json.dumps(
                 [record["status"], record.get("checkpoint")], sort_keys=True
             )
@@ -277,4 +302,9 @@ class ServiceClient:
                     f"experiment {exp_id} still {record['status']} after "
                     f"{timeout:.0f}s"
                 )
-            time.sleep(poll_seconds)
+            if record["status"] == last_status:
+                # Answered early with no change: pace like a plain poll.
+                self._sleep(
+                    max(0.0, poll_seconds - (time.monotonic() - asked))
+                )
+            last_status = record["status"]

@@ -13,8 +13,14 @@ POST      ``/experiments``                submit a :class:`Submission` JSON body
                                           (broker admission gates apply: 429
                                           rate-limit/quota, 503 queue-full,
                                           both with ``Retry-After``)
-GET       ``/experiments``                list all experiments (no result bodies)
-GET       ``/experiments/{id}``           one experiment incl. checkpoint/result
+GET       ``/experiments``                list all experiments (no result bodies;
+                                          the result column is never read)
+GET       ``/experiments/{id}``           one experiment incl. checkpoint/result;
+                                          ``?wait=S`` long-polls: answers when
+                                          the status changes, or after S
+                                          seconds (capped at
+                                          ``MAX_WAIT_SECONDS``); a terminal
+                                          experiment answers at once
 GET       ``/experiments/{id}/events``    the event journal as NDJSON
                                           (``?offset=N`` skips the first N)
 DELETE    ``/experiments/{id}``           request cancellation
@@ -42,6 +48,10 @@ GET       ``/studies/{id}/report``        the finished report as markdown
 On startup the service marks experiments a dead daemon left RUNNING as
 INTERRUPTED; with ``resume_interrupted=True`` the workers replay them
 (:func:`~repro.service.executor.resume`) before taking new work.
+
+Workers sleep between claims until a submission arrives or an experiment
+finishes; ``CLAIM_TICK_SECONDS`` is only the fallback for what frees
+capacity without either (an autoscaled pool, a rate-limit window).
 """
 
 from __future__ import annotations
@@ -79,12 +89,18 @@ from ..observability.aggregator import TelemetryAggregator
 from ..observability.exporters import JsonlExporter, encode_event
 from ..observability.metrics import MetricsRegistry
 from . import executor
-from .store import INTERRUPTED, QUEUED, RunStore
+from .store import INTERRUPTED, QUEUED, TERMINAL_STATUSES, RunStore
 from .submission import Submission
 
 __all__ = ["ExperimentService"]
 
 logger = logging.getLogger(__name__)
+
+#: Fallback claim tick of an idle worker: submissions and finished
+#: experiments wake it directly.
+CLAIM_TICK_SECONDS = 0.05
+#: Upper bound on ``GET /experiments/{id}?wait=S``.
+MAX_WAIT_SECONDS = 30.0
 
 _EXPERIMENT_ROUTE = re.compile(r"^/experiments/([A-Za-z0-9_-]+)(/events)?$")
 _STUDY_ROUTE = re.compile(r"^/studies/([A-Za-z0-9_-]+)(/report)?$")
@@ -257,6 +273,9 @@ class ExperimentService:
         self._studies_lock = threading.Lock()
         self._workers = workers
         self._stop = threading.Event()
+        # Set by submissions and finished experiments: something may be
+        # claimable now.
+        self._wake = threading.Event()
         self._threads: List[threading.Thread] = []
         self._resume_lock = threading.Lock()
         interrupted = self.store.recover_interrupted()
@@ -311,6 +330,8 @@ class ExperimentService:
         """Shut down the listener and wait for workers to finish the
         experiment they are on (idempotent)."""
         self._stop.set()
+        self._wake.set()
+        self.store.release_waiters()
         if self._pool_autoscaler is not None:
             self._pool_autoscaler.stop()
         self._server.shutdown()
@@ -408,7 +429,8 @@ class ExperimentService:
                 continue
             claimed = self._claim_next()
             if claimed is None:
-                self._stop.wait(0.05)
+                self._wake.wait(CLAIM_TICK_SECONDS)
+                self._wake.clear()
                 continue
             exp_id, resuming = claimed
             self._execute(exp_id, resuming=resuming)
@@ -445,6 +467,7 @@ class ExperimentService:
                 with self._fleets_lock:
                     self._fleets.pop(exp_id, None)
             self._m_running.dec()
+            self._wake.set()
 
     # ------------------------------------------------------------- HTTP API
 
@@ -459,6 +482,7 @@ class ExperimentService:
             raise
         record = self.store.submit(submission)
         self._m_submitted.inc()
+        self._wake.set()
         return record.to_dict()
 
     def broker_status(self) -> Dict[str, Any]:
@@ -826,7 +850,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._get_events(exp_id, parsed.query)
                 return
             if not events and method == "GET":
-                self._get_experiment(exp_id)
+                self._get_experiment(exp_id, parsed.query)
                 return
             if not events and method == "DELETE":
                 self._delete_experiment(exp_id)
@@ -875,11 +899,26 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self._send_json(202, record)
 
-    def _get_experiment(self, exp_id: str) -> None:
-        record = self.service.store.get(exp_id)
+    def _get_experiment(self, exp_id: str, query: str) -> None:
+        raw_wait = parse_qs(query).get("wait", ["0"])[0]
+        try:
+            wait = float(raw_wait)
+        except ValueError:
+            wait = -1.0
+        if not 0.0 <= wait < float("inf"):
+            self._send_error_json(
+                400, f"wait must be a non-negative number, got {raw_wait!r}"
+            )
+            return
+        store = self.service.store
+        record = store.get(exp_id)
         if record is None:
             self._send_error_json(404, f"unknown experiment {exp_id!r}")
             return
+        if wait > 0 and record.status not in TERMINAL_STATUSES:
+            record = store.wait_for_status_change(
+                exp_id, record.status, min(wait, MAX_WAIT_SECONDS)
+            )
         self._send_json(200, record.to_dict())
 
     def _get_events(self, exp_id: str, query: str) -> None:

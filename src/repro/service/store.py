@@ -16,9 +16,13 @@ Two complementary persistence layers per experiment:
   ``GET /experiments/{id}/events`` both read it directly.
 
 The store is safe for concurrent use from the daemon's worker and HTTP
-threads: SQLite connections are short-lived per call, and journal
-appends go through per-experiment cached handles behind a lock, flushed
-on every event so a killed process loses nothing already reported.
+threads.  Each thread opens one SQLite connection on first use and
+reuses it; the database runs in WAL mode with ``synchronous=NORMAL``,
+so readers never block the writer and a commit survives a process kill
+(not necessarily a power loss — the same promise as the journal).
+Journal appends go through per-experiment cached handles behind a lock,
+flushed on every event so a killed process loses nothing already
+reported; readers only ever see whole, newline-terminated lines.
 """
 
 from __future__ import annotations
@@ -86,6 +90,12 @@ _MIGRATIONS = {
                 " ADD COLUMN priority INTEGER NOT NULL DEFAULT 0",
 }
 
+#: Every column :meth:`RunStore._decode` reads except ``result``.
+_LIST_COLUMNS = (
+    "id, submission, status, created_at, started_at, finished_at,"
+    " cancel_requested, checkpoint, error"
+)
+
 
 @dataclass
 class RunRecord:
@@ -126,7 +136,13 @@ class RunRecord:
 
 
 class RunStore:
-    """Durable experiment state under one root directory."""
+    """Durable experiment state under one root directory.
+
+    ``store.db`` is opened in WAL mode, so ``store.db-wal`` and
+    ``store.db-shm`` sit beside it while any connection is open; each
+    thread keeps one connection for the store's lifetime, and
+    :meth:`close` checkpoints the WAL back into ``store.db``.
+    """
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
@@ -136,7 +152,15 @@ class RunStore:
         self.journal_dir.mkdir(exist_ok=True)
         self._lock = threading.Lock()
         self._handles: Dict[str, IO[str]] = {}
+        self._local = threading.local()
+        # Long-polls (wait_for_status_change) sleep on this; every
+        # status write notifies it.
+        self._status_changed = threading.Condition()
+        self._waiters_released = False
         with self._connect() as conn:
+            # Persistent in the file: set once, every later connection
+            # (this process or another) opens in WAL mode.
+            conn.execute("PRAGMA journal_mode=WAL")
             conn.executescript(_SCHEMA)
             columns = {
                 row["name"]
@@ -149,12 +173,18 @@ class RunStore:
     # ------------------------------------------------------------- plumbing
 
     def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.db_path, timeout=30.0)
-        conn.row_factory = sqlite3.Row
+        """This thread's connection, opened on first use and reused."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = sqlite3.connect(self.db_path, timeout=30.0)
+            conn.row_factory = sqlite3.Row
+            conn.execute("PRAGMA synchronous=NORMAL")
+            self._local.conn = conn
         return conn
 
     @staticmethod
-    def _decode(row: sqlite3.Row) -> RunRecord:
+    def _decode(row: sqlite3.Row, with_result: bool = True) -> RunRecord:
+        """``with_result=False`` for rows selected as ``_LIST_COLUMNS``."""
         return RunRecord(
             id=row["id"],
             submission=json.loads(row["submission"]),
@@ -166,7 +196,10 @@ class RunStore:
             checkpoint=(
                 json.loads(row["checkpoint"]) if row["checkpoint"] else None
             ),
-            result=json.loads(row["result"]) if row["result"] else None,
+            result=(
+                json.loads(row["result"])
+                if with_result and row["result"] else None
+            ),
             error=row["error"],
         )
 
@@ -179,11 +212,55 @@ class RunStore:
         return row
 
     def close(self) -> None:
-        """Close cached journal handles (idempotent)."""
+        """Close cached journal handles and this thread's connection,
+        checkpointing the WAL into ``store.db`` first (idempotent; a
+        later call on the store reopens what it needs)."""
         with self._lock:
             for handle in self._handles.values():
                 handle.close()
             self._handles.clear()
+        conn = self._connect()
+        conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+        conn.close()
+        self._local.conn = None
+
+    # ---------------------------------------------------- status long-poll
+
+    def _status_written(self) -> None:
+        with self._status_changed:
+            self._status_changed.notify_all()
+
+    def wait_for_status_change(
+        self, exp_id: str, status: str, timeout: float
+    ) -> Optional[RunRecord]:
+        """The experiment's record once its status is no longer
+        ``status``, or when ``timeout`` seconds pass, or when
+        :meth:`release_waiters` is called — whichever comes first.
+
+        Only status writes made through this store object wake the
+        wait; a change by another process is seen at the timeout.
+        Returns None for an unknown id.
+        """
+        deadline = time.monotonic() + timeout
+        with self._status_changed:
+            while True:
+                record = self.get(exp_id)
+                remaining = deadline - time.monotonic()
+                if (
+                    record is None
+                    or record.status != status
+                    or remaining <= 0
+                    or self._waiters_released
+                ):
+                    return record
+                self._status_changed.wait(remaining)
+
+    def release_waiters(self) -> None:
+        """Return every blocked :meth:`wait_for_status_change` now, and
+        every later one at once (a shutting-down daemon calls this)."""
+        with self._status_changed:
+            self._waiters_released = True
+            self._status_changed.notify_all()
 
     # -------------------------------------------------------------- journal
 
@@ -198,7 +275,9 @@ class RunStore:
         kill, even if the SQLite mirror never happens.
         """
         event = {"kind": kind, "wall_time": time.time(), **payload}
-        line = encode_event(event)
+        self._append_line(exp_id, encode_event(event))
+
+    def _append_line(self, exp_id: str, line: str) -> None:
         with self._lock:
             handle = self._handles.get(exp_id)
             if handle is None:
@@ -209,13 +288,19 @@ class RunStore:
             handle.flush()
 
     def read_events(self, exp_id: str, offset: int = 0) -> List[Dict[str, Any]]:
-        """Decoded journal events, skipping the first ``offset`` lines."""
+        """Decoded journal events, skipping the first ``offset`` lines.
+
+        Only newline-terminated lines count: a last line the appender
+        has not finished writing is left for the next read.
+        """
         path = self.journal_path(exp_id)
         if not path.exists():
             return []
         events = []
-        with path.open("r", encoding="utf-8") as handle:
+        with path.open("rb") as handle:
             for index, line in enumerate(handle):
+                if not line.endswith(b"\n"):
+                    break
                 if index < offset:
                     continue
                 line = line.strip()
@@ -269,11 +354,15 @@ class RunStore:
         return self._decode(row) if row is not None else None
 
     def list_experiments(self) -> List[RunRecord]:
+        """Every experiment in creation order, without its result: the
+        (large) result column is never read and ``result`` is None;
+        :meth:`get` returns one experiment whole."""
         with self._connect() as conn:
             rows = conn.execute(
-                "SELECT * FROM experiments ORDER BY created_at, id"
+                f"SELECT {_LIST_COLUMNS} FROM experiments"
+                " ORDER BY created_at, id"
             ).fetchall()
-        return [self._decode(row) for row in rows]
+        return [self._decode(row, with_result=False) for row in rows]
 
     def claim_next_queued(self) -> Optional[RunRecord]:
         """Atomically move the best queued experiment to RUNNING.
@@ -300,6 +389,7 @@ class RunStore:
                 conn.commit()
                 if cursor.rowcount:
                     self.append_event(row["id"], "status", status=RUNNING)
+                    self._status_written()
                     return self.get(row["id"])
 
     def claim_specific(self, exp_id: str) -> Optional[RunRecord]:
@@ -318,6 +408,7 @@ class RunStore:
                 conn.commit()
                 if cursor.rowcount:
                     self.append_event(exp_id, "status", status=RUNNING)
+                    self._status_written()
                     return self.get(exp_id)
         return None
 
@@ -334,6 +425,7 @@ class RunStore:
                 " AND status = ?",
                 (INTERRUPTED, exp_id, RUNNING),
             )
+        self._status_written()
         self._close_journal(exp_id)
 
     def queue_entries(self) -> List[Dict[str, Any]]:
@@ -379,6 +471,7 @@ class RunStore:
                 " WHERE id = ?",
                 (RUNNING, time.time(), exp_id),
             )
+        self._status_written()
 
     def mark_finished(
         self,
@@ -391,21 +484,21 @@ class RunStore:
         if status not in TERMINAL_STATUSES:
             raise ValueError(f"{status!r} is not a terminal status")
         self.append_event(exp_id, "status", status=status, error=error)
+        encoded = None
         if result is not None:
-            self.append_event(exp_id, "result", result=result)
+            # Encoded once for both copies; the journal line is the one
+            # append_event(kind="result", result=result) would write.
+            encoded = encode_event(result)
+            head = encode_event({"kind": "result", "wall_time": time.time()})
+            self._append_line(exp_id, f'{head[:-1]},"result":{encoded}}}')
         with self._connect() as conn:
             self._require(conn, exp_id)
             conn.execute(
                 "UPDATE experiments SET status = ?, finished_at = ?,"
                 " result = ?, error = ? WHERE id = ?",
-                (
-                    status,
-                    time.time(),
-                    encode_event(result) if result is not None else None,
-                    error,
-                    exp_id,
-                ),
+                (status, time.time(), encoded, error, exp_id),
             )
+        self._status_written()
         self._close_journal(exp_id)
 
     def request_cancel(self, exp_id: str) -> RunRecord:
@@ -433,6 +526,7 @@ class RunStore:
                 conn.commit()
             if cursor.rowcount:
                 self.append_event(exp_id, "status", status=CANCELLED)
+                self._status_written()
                 self._close_journal(exp_id)
                 record = self.get(exp_id)
                 assert record is not None
@@ -475,6 +569,8 @@ class RunStore:
                     (INTERRUPTED, row["id"], RUNNING),
                 )
             interrupted.append(row["id"])
+        if interrupted:
+            self._status_written()
         return interrupted
 
     # ------------------------------------------------------ run-time payload

@@ -20,13 +20,52 @@ are non-learners).  We achieve this exactly rather than by hand-tuning:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Any
+import threading
+from collections import OrderedDict
+from typing import Callable, Dict, Any, Hashable
 
 import numpy as np
 
 from ..generators.space import SearchSpace
 
 __all__ = ["QualityCalibrator", "stable_config_seed"]
+
+#: Per-process memo of sorted reference scores, keyed by everything they
+#: depend on: ``(score_fn, space dimensions, n_reference, seed)``.  The
+#: reference sample is the bulk of building a calibrated workload (4,000
+#: score evaluations), and a daemon or lab worker builds the same
+#: workload for every experiment or cell.  Least-recently-used entries
+#: are evicted past the bound, so callers that pass a fresh lambda per
+#: calibrator cannot grow it.
+_REFERENCE_CACHE: "OrderedDict[Hashable, np.ndarray]" = OrderedDict()
+_REFERENCE_CACHE_LIMIT = 8
+_REFERENCE_LOCK = threading.Lock()
+
+
+def _reference_scores(
+    space: SearchSpace,
+    score_fn: Callable[[Dict[str, Any]], float],
+    n_reference: int,
+    seed: int,
+) -> np.ndarray:
+    """The sorted, read-only reference scores (memoised per process)."""
+    key = (score_fn, tuple(space.dimensions), n_reference, seed)
+    with _REFERENCE_LOCK:
+        scores = _REFERENCE_CACHE.get(key)
+        if scores is not None:
+            _REFERENCE_CACHE.move_to_end(key)
+            return scores
+    rng = np.random.default_rng(seed)
+    scores = np.array([score_fn(space.sample(rng)) for _ in range(n_reference)])
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("score function produced non-finite values")
+    scores = np.sort(scores)
+    scores.setflags(write=False)
+    with _REFERENCE_LOCK:
+        _REFERENCE_CACHE[key] = scores
+        while len(_REFERENCE_CACHE) > _REFERENCE_CACHE_LIMIT:
+            _REFERENCE_CACHE.popitem(last=False)
+    return scores
 
 
 class QualityCalibrator:
@@ -51,13 +90,9 @@ class QualityCalibrator:
         if n_reference < 10:
             raise ValueError("reference sample too small to calibrate")
         self._score_fn = score_fn
-        rng = np.random.default_rng(seed)
-        scores = np.array(
-            [score_fn(space.sample(rng)) for _ in range(n_reference)]
+        self._sorted_scores = _reference_scores(
+            space, score_fn, n_reference, seed
         )
-        if not np.all(np.isfinite(scores)):
-            raise ValueError("score function produced non-finite values")
-        self._sorted_scores = np.sort(scores)
 
     def quantile(self, config: Dict[str, Any]) -> float:
         """Quantile of ``config``'s score within the reference sample.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import pytest
 
 from repro.service.store import RunStore
@@ -9,8 +11,10 @@ from repro.service.submission import Submission
 
 
 @pytest.fixture()
-def store(tmp_path) -> RunStore:
-    return RunStore(tmp_path / "runs")
+def store(tmp_path) -> Iterator[RunStore]:
+    store = RunStore(tmp_path / "runs")
+    yield store
+    store.close()
 
 
 @pytest.fixture()

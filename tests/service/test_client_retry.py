@@ -18,7 +18,7 @@ def scripted_client(errors, max_retries=4, **kwargs):
     )
     script = list(errors)
 
-    def fake_request_once(method, path, payload=None):
+    def fake_request_once(method, path, payload=None, timeout=None):
         if script:
             raise script.pop(0)
         return b'{"ok": true}'

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import sys
+import threading
+
 import pytest
 
+from repro.observability.exporters import encode_event
 from repro.service.store import (
     CANCELLED,
     COMPLETED,
@@ -174,3 +179,190 @@ def test_journal_exporter_wraps_audit_events(store, small_submission):
         if event["kind"] == "audit"
     ]
     assert audit[0]["record"]["kind"] == "sap_decision"
+
+
+# ------------------------------------------------------- torn-line safety
+
+
+def test_reader_never_sees_a_torn_line_while_an_appender_writes(
+    store, small_submission
+):
+    """An appender thread against two reader threads on one store: the
+    readers get only whole events, and their counts never go down.
+
+    Lines past the 8 KiB write buffer reach the file in two writes
+    (text, then newline), and a tiny switch interval hands a reader the
+    GIL between them often enough that a reader decoding every line it
+    finds fails within these ten rounds."""
+    appended = 300
+    errors, counts = [], []
+
+    def run_round() -> None:
+        record = store.submit(small_submission)
+        done = threading.Event()
+
+        def append() -> None:
+            try:
+                for n in range(appended):
+                    store.append_event(record.id, "custom", n=n, pad="x" * 10000)
+            finally:
+                done.set()
+
+        def read(seen) -> None:
+            while not done.is_set():
+                try:
+                    events = store.read_events(record.id)
+                except Exception as exc:  # the regression: a torn last line
+                    errors.append(exc)
+                    return
+                if any(
+                    event.get("kind") not in ("submitted", "custom")
+                    for event in events
+                ):
+                    errors.append(events)
+                    return
+                seen.append(len(events))
+
+        readers = [[], []]
+        threads = [threading.Thread(target=append)] + [
+            threading.Thread(target=read, args=(seen,)) for seen in readers
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        counts.extend(readers)
+        assert len(store.read_events(record.id)) == appended + 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            run_round()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert all(seen == sorted(seen) for seen in counts)
+
+
+def test_read_events_skips_a_hand_truncated_last_line(store, small_submission):
+    record = store.submit(small_submission)
+    store.append_event(record.id, "custom", n=1)
+    store.close()
+    with store.journal_path(record.id).open("a", encoding="utf-8") as handle:
+        handle.write('{"kind":"custom","n":')
+    events = store.read_events(record.id)
+    assert [event["kind"] for event in events] == ["submitted", "custom"]
+    assert store.read_events(record.id, offset=2) == []
+
+
+# --------------------------------------------------- result and list view
+
+
+def test_result_is_encoded_once_for_journal_and_index(store, small_submission):
+    record = store.submit(small_submission)
+    store.claim_next_queued()
+    result = {"epochs_trained": 7, "curve": [0.1, 0.25], "name": "x"}
+    store.mark_finished(record.id, COMPLETED, result=result)
+    line = store.journal_path(record.id).read_text().splitlines()[-1]
+    event = json.loads(line)
+    # The line append_event would have written, byte for byte.
+    assert line == encode_event(
+        {"kind": "result", "wall_time": event["wall_time"], "result": result}
+    )
+    with store._connect() as conn:
+        (column,) = conn.execute(
+            "SELECT result FROM experiments WHERE id = ?", (record.id,)
+        ).fetchone()
+    assert line.endswith(f',"result":{column}}}')
+    assert store.get(record.id).result == result
+
+
+def test_list_skips_results_and_keeps_every_other_field(
+    store, small_submission
+):
+    finished = store.submit(small_submission)
+    store.claim_next_queued()
+    store.save_checkpoint(finished.id, {"epochs_trained": 5})
+    store.mark_finished(finished.id, COMPLETED, result={"epochs_trained": 7})
+    queued = store.submit(small_submission)
+    listed = store.list_experiments()
+    assert [entry.id for entry in listed] == [finished.id, queued.id]
+    assert all(entry.result is None for entry in listed)
+    assert [entry.to_dict(include_result=False) for entry in listed] == [
+        store.get(entry.id).to_dict(include_result=False) for entry in listed
+    ]
+    assert store.get(finished.id).result == {"epochs_trained": 7}
+
+
+# ------------------------------------------------- connections and WAL
+
+
+def test_store_runs_in_wal_mode_and_close_checkpoints(store, small_submission):
+    with store._connect() as conn:
+        (mode,) = conn.execute("PRAGMA journal_mode").fetchone()
+    assert mode == "wal"
+    record = store.submit(small_submission)
+    store.save_checkpoint(record.id, {"epochs_trained": 3})
+    wal = store.db_path.with_name("store.db-wal")
+    assert wal.stat().st_size > 0
+    store.close()
+    assert not wal.exists() or wal.stat().st_size == 0
+    # Still usable after close: the next call reopens.
+    assert store.latest_checkpoint(record.id) == {"epochs_trained": 3}
+
+
+def test_connections_are_per_thread_and_reused(store):
+    mine = store._connect()
+    assert store._connect() is mine
+    theirs = []
+    thread = threading.Thread(target=lambda: theirs.append(store._connect()))
+    thread.start()
+    thread.join(timeout=60)
+    assert theirs[0] is not mine
+
+
+# ---------------------------------------------------------- status waits
+
+
+def test_wait_for_status_change_returns_the_new_record(store, small_submission):
+    record = store.submit(small_submission)
+    store.claim_next_queued()
+    seen = []
+    waiter = threading.Thread(
+        target=lambda: seen.append(
+            store.wait_for_status_change(record.id, RUNNING, timeout=60.0)
+        ),
+        daemon=True,
+    )
+    waiter.start()
+    store.mark_finished(record.id, COMPLETED, result={"epochs_trained": 1})
+    # Half the wait's own timeout: only the notification can end it.
+    waiter.join(timeout=30)
+    assert not waiter.is_alive()
+    assert seen[0].status == COMPLETED
+
+
+def test_wait_for_status_change_times_out_and_handles_unknown_ids(
+    store, small_submission
+):
+    record = store.submit(small_submission)
+    assert store.wait_for_status_change(record.id, QUEUED, 0.0).status == QUEUED
+    assert store.wait_for_status_change("exp-missing", QUEUED, 60.0) is None
+
+
+def test_release_waiters_frees_a_blocked_wait(store, small_submission):
+    record = store.submit(small_submission)
+    seen = []
+    waiter = threading.Thread(
+        target=lambda: seen.append(
+            store.wait_for_status_change(record.id, QUEUED, timeout=60.0)
+        ),
+        daemon=True,
+    )
+    waiter.start()
+    store.release_waiters()
+    waiter.join(timeout=30)
+    assert not waiter.is_alive()
+    assert seen[0].status == QUEUED
