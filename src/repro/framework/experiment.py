@@ -237,7 +237,18 @@ class ExperimentResult:
                 }
                 for event in self.lifecycle
             ],
-            "pool_timeline": [asdict(snapshot) for snapshot in self.pool_timeline],
+            # Explicit dicts, not asdict(): these records are flat, and
+            # asdict recurses and deep-copies each of thousands of them.
+            "pool_timeline": [
+                {
+                    "timestamp": s.timestamp,
+                    "promising": s.promising,
+                    "running": s.running,
+                    "active": s.active,
+                    "promising_slots": s.promising_slots,
+                }
+                for s in self.pool_timeline
+            ],
             "suspends": [
                 {
                     "job_id": s.job_id,
@@ -249,7 +260,13 @@ class ExperimentResult:
                 for s in self.snapshots
             ],
             "target_achievements": [
-                asdict(milestone) for milestone in self.target_achievements
+                {
+                    "timestamp": m.timestamp,
+                    "target": m.target,
+                    "job_id": m.job_id,
+                    "metric": m.metric,
+                }
+                for m in self.target_achievements
             ],
             "observability": self.observability,
         }

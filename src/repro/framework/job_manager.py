@@ -35,7 +35,13 @@ class JobManager:
 
     def __init__(self, recorder=None) -> None:
         self._jobs: Dict[str, Job] = {}
-        self._idle: List[tuple] = []  # (sort_key, job_id) kept sorted lazily
+        # Maintained by the commands below so that pool-wide counts cost
+        # O(1) per epoch instead of a scan over every job ever added.
+        # Insertion order matches ``_jobs`` because a job never becomes
+        # active again once it leaves.
+        self._active: Dict[str, Job] = {}
+        self._num_running = 0
+        self._idle: List[str] = []  # job ids; ordered on read by _sort_key
         self._fifo_counter = itertools.count()
         self._enqueue_order: Dict[str, int] = {}
         recorder = recorder if recorder is not None else NULL_RECORDER
@@ -56,6 +62,7 @@ class JobManager:
         if job.state is not JobState.PENDING:
             raise ValueError("new jobs must be PENDING")
         self._jobs[job.job_id] = job
+        self._active[job.job_id] = job
         self._enqueue(job.job_id)
 
     def get(self, job_id: str) -> Job:
@@ -69,10 +76,20 @@ class JobManager:
 
     def active_jobs(self) -> List[Job]:
         """Jobs that are still in play (pending, running, or suspended)."""
-        return [job for job in self._jobs.values() if job.active]
+        return list(self._active.values())
 
     def running_jobs(self) -> List[Job]:
         return [j for j in self._jobs.values() if j.state is JobState.RUNNING]
+
+    @property
+    def num_active(self) -> int:
+        """``len(active_jobs())`` without building the list."""
+        return len(self._active)
+
+    @property
+    def num_running(self) -> int:
+        """``len(running_jobs())`` without scanning the pool."""
+        return self._num_running
 
     # ---------------------------------------------------------- idle queue
 
@@ -129,6 +146,7 @@ class JobManager:
         self._dequeue(job_id)
         job.transition(JobState.RUNNING)
         job.machine_id = machine_id
+        self._num_running += 1
         self._m_transitions.inc(to="running")
         return job
 
@@ -142,6 +160,7 @@ class JobManager:
         self._dequeue(job_id)
         job.transition(JobState.RUNNING)
         job.machine_id = machine_id
+        self._num_running += 1
         self._m_transitions.inc(to="running")
         return job
 
@@ -150,6 +169,7 @@ class JobManager:
         job = self.get(job_id)
         job.transition(JobState.SUSPENDED)
         job.machine_id = None
+        self._num_running -= 1
         self._enqueue(job_id)
         self._m_transitions.inc(to="suspended")
         return job
@@ -157,10 +177,14 @@ class JobManager:
     def terminate_job(self, job_id: str) -> Job:
         """Any live state -> TERMINATED."""
         job = self.get(job_id)
+        was_running = job.state is JobState.RUNNING
         if job_id in self._idle:
             self._dequeue(job_id)
         job.transition(JobState.TERMINATED)
         job.machine_id = None
+        del self._active[job_id]
+        if was_running:
+            self._num_running -= 1
         self._m_transitions.inc(to="terminated")
         return job
 
@@ -169,6 +193,8 @@ class JobManager:
         job = self.get(job_id)
         job.transition(JobState.COMPLETED)
         job.machine_id = None
+        del self._active[job_id]
+        self._num_running -= 1
         self._m_transitions.inc(to="completed")
         return job
 

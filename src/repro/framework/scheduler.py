@@ -641,28 +641,30 @@ class HyperDriveScheduler:
         )
 
     def _record_pool_snapshot(self, now: float) -> None:
-        active = self.job_manager.active_jobs()
-        promising = sum(1 for job in active if job.promising)
+        job_manager = self.job_manager
+        promising = sum(1 for job in job_manager.active_jobs() if job.promising)
+        running = job_manager.num_running
+        active = job_manager.num_active
         promising_slots = getattr(self.policy, "promising_slots", 0)
         num_machines = self.resource_manager.num_machines
         self._m_promising_ratio.set(
             promising_slots / num_machines if num_machines else 0.0
         )
-        self._m_jobs_active.set(len(active))
+        self._m_jobs_active.set(active)
         if self.recorder.enabled:
             self.recorder.audit.record(
                 "pool_snapshot",
                 promising=promising,
-                running=len(self.job_manager.running_jobs()),
-                active=len(active),
+                running=running,
+                active=active,
                 promising_slots=promising_slots,
             )
         self.result.pool_timeline.append(
             PoolSnapshot(
                 timestamp=now,
                 promising=promising,
-                running=len(self.job_manager.running_jobs()),
-                active=len(active),
+                running=running,
+                active=active,
                 promising_slots=promising_slots,
             )
         )

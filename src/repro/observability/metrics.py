@@ -53,6 +53,8 @@ def normalize_name(name: str) -> str:
 
 
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
+    if not labels:  # the common, unlabelled case skips the sort
+        return ()
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 

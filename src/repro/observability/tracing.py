@@ -37,9 +37,9 @@ per epoch (see ``docs/observability.md``).
 
 from __future__ import annotations
 
+import os
 import threading
 import time
-import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
@@ -57,8 +57,8 @@ __all__ = [
 
 
 def new_trace_id() -> str:
-    """A fresh 16-hex-char id (half a uuid4 — plenty for one run)."""
-    return uuid.uuid4().hex[:16]
+    """A fresh 16-hex-char id (64 random bits — plenty for one run)."""
+    return os.urandom(8).hex()
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,7 @@ def run_simulation(
             # A hook may resize the pool (broker sync): jobs started on
             # regrown machines need their first epoch scheduled.
             _schedule_started_machines(scheduler, engine, generations)
-        if scheduler.done or not scheduler.job_manager.active_jobs():
+        if scheduler.done or not scheduler.job_manager.num_active:
             return True
         return stop_check is not None and stop_check()
 

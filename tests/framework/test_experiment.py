@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -57,6 +58,40 @@ def test_result_to_dict_and_save(cifar10_workload, tmp_path):
     loaded = json.loads(path.read_text())
     assert loaded["epochs_trained"] == result.epochs_trained
     assert loaded["jobs"][0]["job_id"] == record["jobs"][0]["job_id"]
+
+
+def test_to_dict_records_match_asdict(cifar10_workload):
+    """The hand-built timeline and milestone records are exactly what
+    ``dataclasses.asdict`` produced, entry for entry and byte for byte
+    once serialised."""
+    configs = standard_configs(cifar10_workload, 40)
+    result = run_simulation(
+        cifar10_workload,
+        DefaultPolicy(),
+        configs=configs,
+        spec=ExperimentSpec(
+            num_machines=8, num_configs=40, seed=0, stop_on_target=False,
+            dynamic_target=True, target=0.30, target_increment=0.05,
+        ),
+    )
+    assert result.pool_timeline and len(result.target_achievements) >= 2
+    record = result.to_dict()
+    assert len(record["pool_timeline"]) == len(result.pool_timeline)
+    for entry, snapshot in zip(record["pool_timeline"], result.pool_timeline):
+        assert entry == asdict(snapshot)
+    assert len(record["target_achievements"]) == len(
+        result.target_achievements
+    )
+    for entry, milestone in zip(
+        record["target_achievements"], result.target_achievements
+    ):
+        assert entry == asdict(milestone)
+    reference = dict(
+        record,
+        pool_timeline=[asdict(s) for s in result.pool_timeline],
+        target_achievements=[asdict(m) for m in result.target_achievements],
+    )
+    assert json.dumps(record) == json.dumps(reference)
 
 
 def test_job_training_times_property(cifar10_workload):

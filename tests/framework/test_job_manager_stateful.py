@@ -132,6 +132,16 @@ class JobManagerMachine(RuleBasedStateMachine):
             assert job.machine_id is not None
 
     @invariant()
+    def maintained_indices_match_scans(self):
+        """The active index and running count equal full scans."""
+        scanned_active = [job for job in self.jm.jobs() if job.active]
+        active = self.jm.active_jobs()
+        assert len(active) == len(scanned_active)
+        assert all(a is b for a, b in zip(active, scanned_active))
+        assert self.jm.num_active == len(scanned_active)
+        assert self.jm.num_running == len(self._jobs_in(JobState.RUNNING))
+
+    @invariant()
     def terminal_jobs_not_idle(self):
         for job in self.jm.jobs():
             if not job.active:

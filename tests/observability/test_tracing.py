@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.observability.tracing import NULL_TRACER, NullTracer, SpanTracer
@@ -86,6 +88,29 @@ class TestSpanTracer:
             pass
         assert len(seen) == 1
         assert seen[0].to_dict()["kind"] == "span"
+
+    def test_ids_are_16_hex_and_distinct(self):
+        tracer = SpanTracer(clock=FakeClock())
+        n = 10_000
+        for _ in range(n):
+            with tracer.span("root"):
+                with tracer.span("child"):
+                    pass
+        spans = tracer.spans
+        assert len(spans) == 2 * n
+        id_format = re.compile(r"^[0-9a-f]{16}$")
+        span_ids = {span.span_id for span in spans}
+        trace_ids = {span.trace_id for span in spans}
+        assert all(id_format.match(i) for i in span_ids | trace_ids)
+        assert len(span_ids) == 2 * n
+        assert len(trace_ids) == n  # one per root; children inherit it
+        # A child joins its root's trace under a fresh span id.
+        by_id = {span.span_id: span for span in spans}
+        for span in spans:
+            if span.name == "child":
+                parent = by_id[span.parent_id]
+                assert parent.name == "root"
+                assert parent.trace_id == span.trace_id
 
 
 class TestNullTracer:
