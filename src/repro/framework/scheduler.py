@@ -136,6 +136,7 @@ class HyperDriveScheduler:
         self._evict_pending: Set[str] = set()
         self._done = False
         self._context: Optional[PolicyContext] = None
+        self._last_audited_pool: Optional[Tuple[int, int, int, int]] = None
         metrics = self.recorder.metrics
         self._m_epochs = metrics.counter(
             "scheduler_epochs_total", help="Epochs processed by the scheduler"
@@ -618,9 +619,16 @@ class HyperDriveScheduler:
         event: IterationFinished,
         rationale: Optional[Dict],
     ) -> None:
-        """One audit record per SAP decision, carrying the inputs that
-        produced it (confidence ``p``, ERT, the dynamic threshold, the
-        promising-slot count) plus the policy's own rationale."""
+        """One audit record per SAP decision that consulted something,
+        carrying the inputs that produced it (confidence ``p``, ERT, the
+        dynamic threshold, the promising-slot count) plus the policy's
+        own rationale.  A CONTINUE with no rationale, or only POP's
+        ``between_boundaries``, is not written: a job's epochs with no
+        record between two written ones are exactly those continues."""
+        if decision is Decision.CONTINUE and (
+            not rationale or rationale == {"reason": "between_boundaries"}
+        ):
+            return
         data = {
             "decision": decision.value,
             "epoch": event.epoch,
@@ -651,7 +659,11 @@ class HyperDriveScheduler:
             promising_slots / num_machines if num_machines else 0.0
         )
         self._m_jobs_active.set(active)
-        if self.recorder.enabled:
+        # The timeline keeps every sample (Fig 4c averages over them);
+        # the audit trail gets only the change points.
+        counts = (promising, running, active, promising_slots)
+        if self.recorder.enabled and counts != self._last_audited_pool:
+            self._last_audited_pool = counts
             self.recorder.audit.record(
                 "pool_snapshot",
                 promising=promising,

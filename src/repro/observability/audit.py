@@ -4,16 +4,20 @@ Every consequential scheduling event — a SAP decision
 (CONTINUE/SUSPEND/TERMINATE) with the inputs that produced it
 (confidence ``p``, ERT, the dynamic threshold ``p*``, promising-slot
 count), a POP pool reclassification round, a lifecycle transition, a
-pool-timeline sample — is recorded as one :class:`AuditRecord` and, if
-an exporter is attached, streamed out as a JSONL document immediately.
+change in the pool's split — is recorded as one :class:`AuditRecord`
+and, if an exporter is attached, streamed out as a JSONL document
+immediately.  It is a trail of decisions, not of epochs: a record that
+would only repeat the one before is not written.
 
 Record kinds emitted by the instrumented framework:
 
 ``sap_decision``
-    One per ``on_iteration_finish`` up-call; ``data`` carries the
-    decision, epoch, metric, confidence, ERT, threshold, pool sizes,
-    and the policy's own rationale (``reason`` plus reason-specific
-    inputs such as the kill bound that fired).
+    One per ``on_iteration_finish`` up-call that consulted something;
+    ``data`` carries the decision, epoch, metric, confidence, ERT,
+    threshold, pool sizes, and the policy's own rationale (``reason``
+    plus reason-specific inputs such as the kill bound that fired).
+    A CONTINUE with no rationale, or only ``between_boundaries``, is
+    not written, so a job's epochs without a record are continues.
 ``pop_classification``
     One per POP reclassification round: the dynamic threshold, slot
     allocation, and the per-job category map.
@@ -21,7 +25,9 @@ Record kinds emitted by the instrumented framework:
     Mirror of the scheduler's lifecycle log (started / suspended /
     resumed / terminated / completed / machine events).
 ``pool_snapshot``
-    The promising/opportunistic split sampled after every epoch.
+    The promising/running/active split and the promising-slot count,
+    written when they differ from the last record written (every
+    per-epoch sample stays in ``ExperimentResult.pool_timeline``).
 ``prediction``
     One per curve prediction consumed by POP: confidence and ERT
     before smoothing, horizon, and prediction accuracy.

@@ -1,7 +1,8 @@
 """``repro diagnose``: post-hoc analysis of observability journals.
 
 The JSONL journals written by ``--emit-events`` (and by the service
-store) interleave two event shapes:
+store, once its ``audit`` wrapper is removed) interleave two event
+shapes:
 
 * **spans** — ``{"kind": "span", "name", "start", "end",
   "wall_seconds", "trace_id", "span_id", "parent_id", "attributes"}``,
@@ -70,6 +71,8 @@ def load_journals(
     Journals from crashed runs can end mid-line (or carry a line
     mangled before the exporter grew its write lock); a post-mortem
     tool must not choke on them, so undecodable lines are skipped.
+    A run store's journal wraps each audit record and span as
+    ``{"kind": "audit", "record": {...}}``; those are unwrapped.
     """
     journals: Dict[str, List[Dict[str, Any]]] = {}
     for path in paths:
@@ -85,6 +88,10 @@ def load_journals(
                 except ValueError:
                     continue
                 if isinstance(event, dict):
+                    if event.get("kind") == "audit" and isinstance(
+                        event.get("record"), dict
+                    ):
+                        event = event["record"]
                     events.append(event)
         journals[path.stem] = events
     return journals

@@ -124,6 +124,9 @@ class LearnedPolicy(SchedulingPolicy):
     def on_iteration_finish(self, event: IterationFinished) -> Decision:
         ctx = self.ctx
         window = ctx.domain.eval_boundary
+        # Only a window decision has a rationale; a stale one would make
+        # the scheduler audit a CONTINUE that consulted nothing.
+        self.last_decision_rationale = None
         if event.job_finished or event.epoch % window != 0:
             return Decision.CONTINUE
 

@@ -911,18 +911,19 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         store = self.service.store
-        record = store.get(exp_id)
-        if record is None:
+        status = store.status(exp_id)
+        if status is None:
             self._send_error_json(404, f"unknown experiment {exp_id!r}")
             return
-        if wait > 0 and record.status not in TERMINAL_STATUSES:
-            record = store.wait_for_status_change(
-                exp_id, record.status, min(wait, MAX_WAIT_SECONDS)
+        if wait > 0 and status not in TERMINAL_STATUSES:
+            store.wait_for_status_change(
+                exp_id, status, min(wait, MAX_WAIT_SECONDS)
             )
-        self._send_json(200, record.to_dict())
+        body = store.get_encoded(exp_id) + "\n"
+        self._send(200, body.encode("utf-8"), "application/json")
 
     def _get_events(self, exp_id: str, query: str) -> None:
-        if self.service.store.get(exp_id) is None:
+        if self.service.store.status(exp_id) is None:
             self._send_error_json(404, f"unknown experiment {exp_id!r}")
             return
         try:

@@ -239,21 +239,22 @@ class RunStore:
 
         Only status writes made through this store object wake the
         wait; a change by another process is seen at the timeout.
-        Returns None for an unknown id.
+        Returns None for an unknown id.  Each wake-up reads the status
+        alone; the record is decoded once, on return.
         """
         deadline = time.monotonic() + timeout
         with self._status_changed:
             while True:
-                record = self.get(exp_id)
+                current = self.status(exp_id)
                 remaining = deadline - time.monotonic()
                 if (
-                    record is None
-                    or record.status != status
+                    current != status  # None too: an unknown id
                     or remaining <= 0
                     or self._waiters_released
                 ):
-                    return record
+                    break
                 self._status_changed.wait(remaining)
+        return self.get(exp_id)
 
     def release_waiters(self) -> None:
         """Return every blocked :meth:`wait_for_status_change` now, and
@@ -352,6 +353,31 @@ class RunStore:
                 "SELECT * FROM experiments WHERE id = ?", (exp_id,)
             ).fetchone()
         return self._decode(row) if row is not None else None
+
+    def status(self, exp_id: str) -> Optional[str]:
+        """The experiment's status alone, or None for an unknown id."""
+        with self._connect() as conn:
+            row = conn.execute(
+                "SELECT status FROM experiments WHERE id = ?", (exp_id,)
+            ).fetchone()
+        return row["status"] if row is not None else None
+
+    def get_encoded(self, exp_id: str) -> Optional[str]:
+        """``encode_event(get(exp_id).to_dict())`` without decoding the
+        result: the stored result text is spliced in as it is.  Equal
+        byte for byte when the result was stored compact, as
+        :meth:`mark_finished` writes it; equal once decoded for a result
+        stored in any other JSON form.  None for an unknown id."""
+        with self._connect() as conn:
+            row = conn.execute(
+                "SELECT * FROM experiments WHERE id = ?", (exp_id,)
+            ).fetchone()
+        if row is None:
+            return None
+        head = encode_event(
+            self._decode(row, with_result=False).to_dict(include_result=False)
+        )
+        return f'{head[:-1]},"result":{row["result"] or "null"}}}'
 
     def list_experiments(self) -> List[RunRecord]:
         """Every experiment in creation order, without its result: the

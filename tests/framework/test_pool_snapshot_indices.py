@@ -1,10 +1,13 @@
-"""The pool snapshot's maintained counts agree with full scans.
+"""The pool snapshot's maintained counts agree with full scans, and its
+audit record is written only at a change point.
 
 ``_record_pool_snapshot`` reads the Job Manager's maintained
 ``num_active``/``num_running`` instead of scanning the pool.  A
 test-only scheduler subclass re-derives every recorded snapshot from
 full scans over all jobs, at every snapshot, across the registered
-policies at a pool size where a stale index would show.
+policies at a pool size where a stale index would show.  The timeline
+keeps every sample; the audit trail gets a ``pool_snapshot`` record
+exactly when the sample differs from the last one written.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from repro.sim.runner import run_simulation
 
 N_CONFIGS = 40
 MACHINES = 8
+FIELDS = ("promising", "running", "active", "promising_slots")
 
 
 class ScanCheckingScheduler(HyperDriveScheduler):
@@ -30,8 +34,11 @@ class ScanCheckingScheduler(HyperDriveScheduler):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.checked = 0
+        self.written = 0
+        self.last_written = None
 
     def _record_pool_snapshot(self, now: float) -> None:
+        before = len(self.recorder.audit.records)
         super()._record_pool_snapshot(now)
         jobs = self.job_manager.jobs()
         active = [job for job in jobs if job.active]
@@ -45,10 +52,17 @@ class ScanCheckingScheduler(HyperDriveScheduler):
         indexed = self.job_manager.active_jobs()
         assert len(indexed) == len(active)
         assert all(a is b for a, b in zip(indexed, active))
-        audited = self.recorder.audit.records[-1]
-        assert audited.kind == "pool_snapshot"
-        for field in ("active", "running", "promising"):
-            assert audited.data[field] == getattr(recorded, field)
+        sample = tuple(getattr(recorded, field) for field in FIELDS)
+        audited = self.recorder.audit.records[before:]
+        if sample == self.last_written:
+            assert audited == []
+        else:
+            (record,) = audited
+            assert record.kind == "pool_snapshot"
+            assert record.timestamp == now
+            assert tuple(record.data[field] for field in FIELDS) == sample
+            self.last_written = sample
+            self.written += 1
         gauge = self.recorder.metrics.get("jobs_active")
         assert gauge.value() == len(active)
         self.checked += 1
@@ -69,6 +83,7 @@ def test_recorded_pool_counts_equal_full_scans(
         return scheduler
 
     monkeypatch.setattr(sim_runner, "HyperDriveScheduler", factory)
+    recorder = Recorder()
     result = run_simulation(
         cifar10_workload,
         build_policy(policy_name),
@@ -80,10 +95,13 @@ def test_recorded_pool_counts_equal_full_scans(
             stop_on_target=False,
         ),
         predictor=fast_predictor,
-        recorder=Recorder(),
+        recorder=recorder,
     )
     (scheduler,) = schedulers
     assert scheduler.checked == len(result.pool_timeline) > 0
+    # Change points only, and far fewer of them than samples.
+    assert scheduler.written == len(recorder.audit.query(kind="pool_snapshot"))
+    assert 0 < scheduler.written < scheduler.checked
     # The run stops on an empty pool; the index must agree it is empty.
     if result.finished_at < scheduler.spec.tmax:
         assert scheduler.job_manager.num_active == 0

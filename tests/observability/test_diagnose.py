@@ -1,6 +1,7 @@
 """repro diagnose: journal loading, phase breakdown, critical path."""
 
 import json
+from pathlib import Path
 
 from repro.observability.diagnose import (
     classify_phase,
@@ -9,6 +10,12 @@ from repro.observability.diagnose import (
     load_journals,
     phase_breakdown,
     render_markdown,
+)
+from repro.service.store import RunStore
+
+FIXTURE_JOURNAL = (
+    Path(__file__).parent.parent
+    / "fixtures" / "run_store_1_7" / "journal" / "exp-ed204d052691.jsonl"
 )
 
 
@@ -156,6 +163,34 @@ class TestEndToEnd:
         assert "## exp-1" in markdown
         assert "cluster_migration" in markdown
         assert "| migrate | 0.30 |" in markdown
+
+    def test_run_store_journal_is_unwrapped(self):
+        """A daemon journal wraps every record as ``{"kind": "audit",
+        "record": ...}``; the committed 1.7 run store's journal carries
+        a hand-written wrapped ``cluster_migration`` record."""
+        report = diagnose(load_journals([FIXTURE_JOURNAL]))
+        exp = report["experiments"][FIXTURE_JOURNAL.stem]
+        phases = exp["phases"]
+        assert phases["extent_seconds"] > 0.0
+        assert phases["machines"] == ["machine-00", "machine-01"]
+        (migration,) = exp["notable"]
+        assert migration["kind"] == "cluster_migration"
+        assert migration["job_id"] == "job-0000"
+        assert phases["seconds"]["migrate"] == migration["data"]["resume_latency"]
+        golden = FIXTURE_JOURNAL.parent.parent / "diagnose.md"
+        assert render_markdown(report) == golden.read_text()
+
+    def test_wrapped_spans_count_as_spans(self, tmp_path):
+        store = RunStore(tmp_path / "runs")
+        exporter = store.journal_exporter("exp-3")
+        exporter.export(span("worker.train_epoch", 0.0, 2.0, machine_id="m0"))
+        exporter.export(audit("lifecycle", 2.0, machine_id="m1"))
+        store.close()
+        report = diagnose(load_journals([store.journal_path("exp-3")]))
+        exp = report["experiments"]["exp-3"]
+        assert (exp["spans"], exp["audit"]) == (1, 1)
+        assert exp["phases"]["seconds"]["train"] == 2.0
+        assert exp["phases"]["machines"] == ["m0", "m1"]
 
     def test_corrupt_lines_skipped(self, tmp_path):
         journal = tmp_path / "exp-2.jsonl"

@@ -98,19 +98,21 @@ class TestEndToEnd:
                 outcome.best_metric >= cifar10_workload.domain.target
             )
 
-    def test_decisions_audited_with_rationale(self, result):
+    def test_decisions_audited_with_rationale(self, result, cifar10_workload):
         _, recorder = result
         decisions = [
             record for record in recorder.audit.records
             if record.kind == "sap_decision"
         ]
         assert decisions
-        # Non-boundary epochs audit a bare CONTINUE; eval-window
-        # decisions carry the policy's rationale.
+        # Only eval-window decisions are audited, each with the
+        # policy's rationale; non-boundary CONTINUEs write nothing.
+        window = cifar10_workload.domain.eval_boundary
+        assert all(record.data["epoch"] % window == 0 for record in decisions)
         noted = [
             record for record in decisions if "action" in record.data
         ]
-        assert noted
+        assert noted == decisions
         for record in noted:
             assert record.data["action"] in (
                 "kill", "suspend", "continue"

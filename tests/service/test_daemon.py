@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.observability.exporters import encode_event
 from repro.service import daemon
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import ExperimentService
@@ -162,6 +163,20 @@ def test_list_view_is_the_full_records_without_results(
         service.store.get(exp_id).to_dict(include_result=False) for exp_id in ids
     ]
     assert client.list_experiments() == json.loads(json.dumps(expected))
+
+
+def test_record_body_is_the_encoded_record_byte_for_byte(
+    service, client, small_submission
+):
+    """The route splices the stored result text instead of decoding and
+    re-encoding it; the bytes are what encoding the record gives."""
+    exp_id = client.submit(small_submission.to_dict())["id"]
+    client.watch(exp_id, poll_seconds=0.1, timeout=300)
+    record = service.store.get(exp_id)
+    assert record.result["epochs_trained"] > 0
+    expected = (encode_event(record.to_dict()) + "\n").encode("utf-8")
+    assert client._request("GET", f"/experiments/{exp_id}") == expected
+    assert client._request("GET", f"/experiments/{exp_id}?wait=1") == expected
 
 
 # ----------------------------------------------------------- worker wake-up

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import shutil
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +189,40 @@ def test_resume_over_pre_1_6_run_store_matches_fresh_run(
     fresh.result.pop("observability")
     assert resumed.result == fresh.result
     assert "predict_workers" not in resumed.result["spec"]
+
+
+#: A run store written by repro 1.7.0: a 6-config POP experiment whose
+#: process was killed (``os._exit``) at its eighth checkpoint, after 40
+#: epochs.  Its journal holds the full per-epoch audit trail (a
+#: ``pool_snapshot`` and a ``sap_decision`` per epoch) plus one
+#: hand-written wrapped ``cluster_migration`` record; ``diagnose.md``
+#: is ``repro diagnose`` of that journal.
+RUN_STORE_1_7 = Path(__file__).parent.parent / "fixtures" / "run_store_1_7"
+
+
+def test_resume_over_a_1_7_run_store_matches_fresh_run(tmp_path):
+    root = tmp_path / "runs"
+    shutil.copytree(RUN_STORE_1_7, root)
+    store = RunStore(root)
+    (exp_id,) = store.recover_interrupted()
+    submission = store.get(exp_id).submission
+    assert store.latest_checkpoint(exp_id)["epochs_trained"] == 40
+    resumed = executor.resume(store, exp_id)
+    assert resumed.status == COMPLETED
+    marker = next(
+        event for event in store.read_events(exp_id)
+        if event["kind"] == "resumed"
+    )
+    assert marker["from_epoch"] == 40
+    store.close()
+
+    fresh_store = RunStore(tmp_path / "fresh")
+    fresh = executor.execute(fresh_store, fresh_store.submit(submission).id)
+    fresh_store.close()
+    assert resumed.result["policy"] == "pop"
+    # Equal but for the wall-clock span and fit timings.
+    assert (
+        resumed.result.pop("observability")["audit_events"]
+        == fresh.result.pop("observability")["audit_events"]
+    )
+    assert resumed.result == fresh.result

@@ -296,6 +296,48 @@ def test_list_skips_results_and_keeps_every_other_field(
     assert store.get(finished.id).result == {"epochs_trained": 7}
 
 
+def test_get_encoded_is_the_encoded_record_byte_for_byte(
+    store, small_submission
+):
+    finished = store.submit(small_submission)
+    store.claim_next_queued()
+    store.save_checkpoint(finished.id, {"epochs_trained": 5})
+    result = {
+        "epochs_trained": 7, "curve": [0.1, 1e-17, float("nan")],
+        "name": "café \"x\"", "nested": {"a": None, "b": [True, 3]},
+    }
+    store.mark_finished(finished.id, COMPLETED, result=result)
+    queued = store.submit(small_submission)
+    for exp_id in (finished.id, queued.id):
+        assert store.get_encoded(exp_id) == encode_event(
+            store.get(exp_id).to_dict()
+        )
+    assert store.get_encoded("exp-missing") is None
+
+
+def test_get_encoded_of_a_non_compact_result_decodes_equal(
+    store, small_submission
+):
+    record = store.submit(small_submission)
+    legacy = {"epochs_trained": 7, "curve": [0.1, 0.25], "name": "x"}
+    with store._connect() as conn:
+        conn.execute(
+            "UPDATE experiments SET status = ?, result = ? WHERE id = ?",
+            (COMPLETED, json.dumps(legacy, indent=1), record.id),
+        )
+    expected = store.get(record.id).to_dict()
+    assert expected["result"] == legacy
+    assert json.loads(store.get_encoded(record.id)) == expected
+
+
+def test_status_reads_the_status_alone(store, small_submission):
+    record = store.submit(small_submission)
+    assert store.status(record.id) == QUEUED
+    store.claim_next_queued()
+    assert store.status(record.id) == RUNNING
+    assert store.status("exp-missing") is None
+
+
 # ------------------------------------------------- connections and WAL
 
 
@@ -350,6 +392,44 @@ def test_wait_for_status_change_times_out_and_handles_unknown_ids(
     record = store.submit(small_submission)
     assert store.wait_for_status_change(record.id, QUEUED, 0.0).status == QUEUED
     assert store.wait_for_status_change("exp-missing", QUEUED, 60.0) is None
+
+
+def test_wait_for_status_change_decodes_once(
+    store, small_submission, monkeypatch
+):
+    """Wake-ups that find the status unchanged read the status alone."""
+    record = store.submit(small_submission)
+    decodes, woken = [], threading.Event()
+    real_get, real_status = RunStore.get, RunStore.status
+
+    def counting_get(self, exp_id):
+        decodes.append(threading.current_thread())
+        return real_get(self, exp_id)
+
+    def noting_status(self, exp_id):
+        woken.set()
+        return real_status(self, exp_id)
+
+    monkeypatch.setattr(RunStore, "get", counting_get)
+    monkeypatch.setattr(RunStore, "status", noting_status)
+    seen = []
+    waiter = threading.Thread(
+        target=lambda: seen.append(
+            store.wait_for_status_change(record.id, QUEUED, timeout=60.0)
+        ),
+        daemon=True,
+    )
+    waiter.start()
+    for _ in range(5):  # spurious wake-ups: nothing changed
+        assert woken.wait(30)
+        woken.clear()
+        store._status_written()
+    assert woken.wait(30)
+    store.claim_next_queued()
+    waiter.join(timeout=30)
+    assert not waiter.is_alive()
+    assert seen[0].status == RUNNING
+    assert decodes.count(waiter) == 1
 
 
 def test_release_waiters_frees_a_blocked_wait(store, small_submission):
