@@ -298,7 +298,10 @@ class _ClusterExperiment:
         self.transport.start()
         for machine_id in self._initial_machines:
             self._spawn_worker(machine_id)
-        self.heartbeat.start()
+        # Pinging starts only once the whole fleet has said hello: while
+        # its peers are still importing, an early worker can be starved
+        # of CPU long enough to miss pings, and a node declared down
+        # before the barrier would keep it from ever opening.
         if not self.heartbeat.wait_all_up(self.startup_timeout):
             missing = [
                 machine_id
@@ -314,6 +317,7 @@ class _ClusterExperiment:
         self.heartbeat.on_down = self._on_down_signal
         self.heartbeat.on_up = self._on_up_signal
         self.heartbeat.on_departed = self._on_departed_signal
+        self.heartbeat.start()
 
     # ------------------------------------------------------------ membership
 

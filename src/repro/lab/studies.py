@@ -112,7 +112,7 @@ def _learned_vs_pop() -> StudySpec:
     # comparison measures generalisation, not memorisation.  The seed
     # block is the scan range 1..30 filtered by one criterion: the
     # replicate's configuration set must contain at least one target
-    # achiever (a property of the precomputed streams, checkable
+    # achiever (a property of the recorded streams, checkable
     # without running any policy — never by which policy wins on it);
     # seeds 3, 8, 18, 21, 22, 28, 29 have no achiever, so every policy
     # ties at the Tmax fallback there and the cells carry no signal.

@@ -1,14 +1,13 @@
 """Episodic scheduling environment for learned-policy training.
 
 :class:`SchedulerEnv` wraps the simulator substrate — registry
-workloads, hyperparameter generators, and the vectorized stream
-fast path (:mod:`repro.sim.fastpath`) — as a gym-style episodic
-environment:
+workloads, hyperparameter generators, and the §7.1
+:class:`~repro.sim.trace.Trace` — as a gym-style episodic environment:
 
 * ``reset(gen_seed)`` mints a fresh configuration set from the
-  generator under that seed and precomputes every configuration's
-  observed stream (so an episode's dynamics are a pure function of
-  ``(env config, gen_seed)`` — deterministic rollouts).
+  generator under that seed and records every configuration's
+  observed stream as a trace (so an episode's dynamics are a pure
+  function of ``(env config, gen_seed)`` — deterministic rollouts).
 * The cluster is modelled **asynchronously**, mirroring the
   discrete-event scheduler: each ``step`` happens when a machine
   frees, and the action assigns one configuration (possibly the one
@@ -35,7 +34,8 @@ import numpy as np
 
 from ..generators.base import ExhaustedSpaceError
 from ..learn.features import ConfigStateArrays, feature_matrix
-from .fastpath import ConfigStreams, precompute_streams
+from ..metrics.stats import minmax_normalize
+from .trace import Trace, record_trace
 
 __all__ = ["EnvConfig", "SchedulerEnv"]
 
@@ -66,7 +66,8 @@ class EnvConfig:
 
 @dataclass
 class _EpisodeState:
-    streams: ConfigStreams
+    streams: Trace
+    normalized: np.ndarray     # (n, max_epochs) streams.metrics in [0, 1]
     epochs: np.ndarray         # (n,) epochs completed (in-flight included)
     invested: np.ndarray       # (n,) training seconds spent
     alive: np.ndarray          # (n,) not killed
@@ -145,12 +146,13 @@ class SchedulerEnv:
         # frozen noise draw overfits it and loses the generalization the
         # held-out study measures.  Dynamics stay a pure function of
         # (EnvConfig, gen_seed).
-        streams = precompute_streams(
+        streams = record_trace(
             self.workload, configs, seed=self.config.stream_seed + gen_seed
         )
-        n = streams.n_configs
+        n = len(streams)
         self._state = _EpisodeState(
             streams=streams,
+            normalized=self._normalize(streams.metrics),
             epochs=np.zeros(n, dtype=int),
             invested=np.zeros(n),
             alive=np.ones(n, dtype=bool),
@@ -175,7 +177,7 @@ class SchedulerEnv:
         would leave it without idle jobs).
         """
         state = self._require_state()
-        max_epochs = state.streams.max_epochs
+        max_epochs = self.domain.max_epochs
         while True:
             t = state.machine_free.min()
             if t >= self.tmax or state.target_reached:
@@ -202,8 +204,8 @@ class SchedulerEnv:
 
     def state_arrays(self) -> ConfigStateArrays:
         state = self._require_state()
-        streams = state.streams
-        n = streams.n_configs
+        normalized = state.normalized
+        n = len(state.streams)
         last = np.zeros(n)
         prev = np.zeros(n)
         best = np.zeros(n)
@@ -211,12 +213,10 @@ class SchedulerEnv:
             k = int(state.epochs[index])
             if k == 0:
                 continue
-            last[index] = float(streams.normalized[index, k - 1])
-            best[index] = float(streams.normalized[index, :k].max())
+            last[index] = float(normalized[index, k - 1])
+            best[index] = float(normalized[index, :k].max())
             if k > self.window:
-                prev[index] = float(
-                    streams.normalized[index, k - 1 - self.window]
-                )
+                prev[index] = float(normalized[index, k - 1 - self.window])
         return ConfigStateArrays(
             epochs=state.epochs.copy(),
             last=last,
@@ -227,7 +227,7 @@ class SchedulerEnv:
             tmax=self.tmax,
             slots=self.config.slots,
             window=self.window,
-            max_epochs=streams.max_epochs,
+            max_epochs=self.domain.max_epochs,
             norm_target=self.norm_target,
         )
 
@@ -262,7 +262,7 @@ class SchedulerEnv:
             if not state.alive[index] or state.running_until[index] > t:
                 continue
             start = int(state.epochs[index])
-            advance = min(self.window, streams.max_epochs - start)
+            advance = min(self.window, self.domain.max_epochs - start)
             if advance <= 0:
                 continue
             chunk_durations = streams.durations[index, start:start + advance]
@@ -320,13 +320,17 @@ class SchedulerEnv:
 
     def _best_norm(self, state: _EpisodeState) -> float:
         best = 0.0
-        for index in range(state.streams.n_configs):
+        for index in range(len(state.streams)):
             k = int(state.epochs[index])
             if k:
-                best = max(
-                    best, float(state.streams.normalized[index, :k].max())
-                )
+                best = max(best, float(state.normalized[index, :k].max()))
         return best
+
+    def _normalize(self, metrics: np.ndarray) -> np.ndarray:
+        """The normalized view policies reason in (eq. 4)."""
+        if not self.domain.normalizes:
+            return np.clip(metrics, 0.0, 1.0)
+        return minmax_normalize(metrics, self.domain.r_min, self.domain.r_max)
 
     def _terminal_reward(self, state: _EpisodeState) -> float:
         """Best accuracy per unit time: the best normalized metric,

@@ -8,6 +8,11 @@ which is what the configuration-order sensitivity study (§7.2.2, Fig
 12c) requires: the Trace Generator "can create traces by changing the
 configuration orders".
 
+Each configuration's stream is a pure function of (configuration
+content, seed): the synthetic workloads seed every run from its own
+content key, so reordering or subsetting the configuration list leaves
+every recorded stream unchanged.
+
 Traces serialise to JSON so live-system recordings can be archived and
 re-simulated later.
 """
@@ -22,36 +27,47 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..workloads.base import DomainSpec, EpochResult, TrainingRun, Workload
+from ..workloads.calibration import config_key
 from ..generators.space import SearchSpace
 
 __all__ = ["Trace", "TraceWorkload", "record_trace"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
     """A replayable workload recording.
 
     Attributes:
         configs: configuration dicts in experiment order.
-        streams: per-configuration epoch streams; ``streams[i]`` is a
-            list of ``(duration_seconds, metric)`` pairs covering every
-            epoch up to the domain's maximum.
+        durations: ``(n, max_epochs)`` float64 array; row ``i`` holds
+            configuration ``i``'s per-epoch durations in seconds.
+        metrics: ``(n, max_epochs)`` float64 array of raw-scale
+            per-epoch metrics, row-aligned with ``durations``.
         domain: the domain spec the trace was recorded under.
+
+    Raises:
+        ValueError: on construction, if the arrays are not
+            ``(len(configs), domain.max_epochs)``, a metric is not
+            finite, or a duration is not finite and positive.
     """
 
     configs: Tuple[Dict[str, Any], ...]
-    streams: Tuple[Tuple[Tuple[float, float], ...], ...]
+    durations: np.ndarray
+    metrics: np.ndarray
     domain: DomainSpec
 
     def __post_init__(self) -> None:
-        if len(self.configs) != len(self.streams):
-            raise ValueError("one stream per configuration required")
-        for i, stream in enumerate(self.streams):
-            if len(stream) != self.domain.max_epochs:
-                raise ValueError(
-                    f"stream {i} has {len(stream)} epochs, expected "
-                    f"{self.domain.max_epochs}"
-                )
+        expected = (len(self.configs), self.domain.max_epochs)
+        for name in ("durations", "metrics"):
+            values = np.asarray(getattr(self, name), dtype=np.float64)
+            if values.shape != expected:
+                raise ValueError(f"trace {name}: {values.shape} != {expected} epochs")
+            object.__setattr__(self, name, values)
+        _reject(~np.isfinite(self.metrics), "metric is not finite")
+        _reject(
+            ~(np.isfinite(self.durations) & (self.durations > 0.0)),
+            "duration is not finite and positive",
+        )
 
     def __len__(self) -> int:
         return len(self.configs)
@@ -63,7 +79,8 @@ class Trace:
             raise ValueError("permutation must be a rearrangement of all indices")
         return Trace(
             configs=tuple(self.configs[i] for i in perm),
-            streams=tuple(self.streams[i] for i in perm),
+            durations=self.durations[perm],
+            metrics=self.metrics[perm],
             domain=self.domain,
         )
 
@@ -74,7 +91,7 @@ class Trace:
 
     def final_metrics(self) -> List[float]:
         """Final-epoch metric of every configuration (Fig 2a data)."""
-        return [stream[-1][1] for stream in self.streams]
+        return self.metrics[:, -1].tolist()
 
     # -------------------------------------------------------- persistence
 
@@ -94,7 +111,10 @@ class Trace:
             },
             "configs": list(self.configs),
             "streams": [
-                [[d, m] for d, m in stream] for stream in self.streams
+                [[d, m] for d, m in zip(durations, metrics)]
+                for durations, metrics in zip(
+                    self.durations.tolist(), self.metrics.tolist()
+                )
             ],
         }
         Path(path).write_text(json.dumps(payload))
@@ -104,13 +124,30 @@ class Trace:
         """Load a trace saved by :meth:`save`."""
         payload = json.loads(Path(path).read_text())
         domain = DomainSpec(**payload["domain"])
+        streams = payload["streams"]
+        durations = np.empty((len(streams), domain.max_epochs))
+        metrics = np.empty_like(durations)
+        for row, stream in enumerate(streams):
+            if len(stream) != domain.max_epochs:
+                raise ValueError(
+                    f"stream {row} has {len(stream)} epochs, expected "
+                    f"{domain.max_epochs}"
+                )
+            durations[row], metrics[row] = np.asarray(stream, dtype=np.float64).T
         return cls(
             configs=tuple(payload["configs"]),
-            streams=tuple(
-                tuple((float(d), float(m)) for d, m in stream)
-                for stream in payload["streams"]
-            ),
+            durations=durations,
+            metrics=metrics,
             domain=domain,
+        )
+
+
+def _reject(bad: np.ndarray, problem: str) -> None:
+    if bad.any():
+        row, epoch = np.argwhere(bad)[0]
+        raise ValueError(
+            f"malformed trace: configuration {row}, epoch {epoch + 1}: "
+            f"{problem}"
         )
 
 
@@ -121,18 +158,29 @@ def record_trace(
 ) -> Trace:
     """Record a full trace by training every configuration to its
     epoch budget offline (the §7.1 trace-collection step, with the
-    simulator's workload standing in for the live cluster)."""
-    streams: List[Tuple[Tuple[float, float], ...]] = []
-    for config in configs:
+    simulator's workload standing in for the live cluster).
+
+    Runs that offer the batched ``observed_stream`` hook (the synthetic
+    workloads) yield their whole stream in one vectorized draw,
+    bit-identical to stepping; the rest (real SGD training) are stepped
+    epoch by epoch.
+    """
+    durations = np.empty((len(configs), workload.domain.max_epochs))
+    metrics = np.empty_like(durations)
+    for row, config in enumerate(configs):
         run = workload.create_run(config, seed=seed)
-        stream = []
+        if hasattr(run, "observed_stream"):
+            durations[row], metrics[row] = run.observed_stream()
+            continue
+        results = []
         while not run.finished:
-            result = run.step()
-            stream.append((result.duration, result.metric))
-        streams.append(tuple(stream))
+            results.append(run.step())
+        durations[row] = [result.duration for result in results]
+        metrics[row] = [result.metric for result in results]
     return Trace(
         configs=tuple(dict(c) for c in configs),
-        streams=tuple(streams),
+        durations=durations,
+        metrics=metrics,
         domain=workload.domain,
     )
 
@@ -141,10 +189,14 @@ class _TraceRun(TrainingRun):
     """Replays one configuration's recorded stream."""
 
     def __init__(
-        self, config: Dict[str, Any], stream: Sequence[Tuple[float, float]]
+        self,
+        config: Dict[str, Any],
+        durations: np.ndarray,
+        metrics: np.ndarray,
     ) -> None:
         self._config = dict(config)
-        self._stream = list(stream)
+        self._durations = durations
+        self._metrics = metrics
         self._epoch = 0
 
     @property
@@ -157,17 +209,17 @@ class _TraceRun(TrainingRun):
 
     @property
     def finished(self) -> bool:
-        return self._epoch >= len(self._stream)
+        return self._epoch >= len(self._durations)
 
     def step(self) -> EpochResult:
         if self.finished:
             raise RuntimeError("trace replay already finished")
-        duration, metric = self._stream[self._epoch]
+        index = self._epoch
         self._epoch += 1
         return EpochResult(
             epoch=self._epoch,
-            duration=duration,
-            metric=metric,
+            duration=float(self._durations[index]),
+            metric=float(self._metrics[index]),
             done=self.finished,
         )
 
@@ -176,7 +228,7 @@ class _TraceRun(TrainingRun):
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         epoch = int(state["epoch"])
-        if not 0 <= epoch <= len(self._stream):
+        if not 0 <= epoch <= len(self._durations):
             raise ValueError(f"snapshot epoch {epoch} out of range")
         self._epoch = epoch
 
@@ -184,14 +236,18 @@ class _TraceRun(TrainingRun):
 class TraceWorkload(Workload):
     """A :class:`Workload` that replays a recorded :class:`Trace`.
 
-    Configurations are matched by dict equality against the trace's
-    configuration list, so ``run_simulation(..., configs=trace.configs)``
-    replays the exact experiment.
+    Configurations are looked up by content key (the first match wins),
+    so ``run_simulation(..., configs=trace.configs)`` replays the exact
+    experiment.  ``create_run`` ignores ``seed``: the trace already
+    carries the noise it was recorded with.
     """
 
     def __init__(self, trace: Trace, space: Optional[SearchSpace] = None) -> None:
         self._trace = trace
         self._space = space
+        self._rows: Dict[str, int] = {}
+        for row, config in enumerate(trace.configs):
+            self._rows.setdefault(config_key(config), row)
 
     @property
     def trace(self) -> Trace:
@@ -211,7 +267,9 @@ class TraceWorkload(Workload):
         return self._trace.domain
 
     def create_run(self, config: Dict[str, Any], seed: int = 0) -> _TraceRun:
-        for i, candidate in enumerate(self._trace.configs):
-            if candidate == config:
-                return _TraceRun(config, self._trace.streams[i])
-        raise KeyError("configuration not present in the trace")
+        row = self._rows.get(config_key(config))
+        if row is None:
+            raise KeyError("configuration not present in the trace")
+        return _TraceRun(
+            config, self._trace.durations[row], self._trace.metrics[row]
+        )

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..generators.space import SearchSpace
 
-__all__ = ["QualityCalibrator", "stable_config_seed"]
+__all__ = ["QualityCalibrator", "config_key", "stable_config_seed"]
 
 #: Per-process memo of sorted reference scores, keyed by everything they
 #: depend on: ``(score_fn, space dimensions, n_reference, seed)``.  The
@@ -131,6 +131,12 @@ def _fnv_accumulate(encoded: str) -> int:
     return acc
 
 
+def config_key(config: Dict[str, Any]) -> str:
+    """A stable content key for a configuration: equal keys mean equal
+    values of equal types, in any key order and in any process."""
+    return repr(sorted((k, repr(v)) for k, v in config.items()))
+
+
 def stable_config_seed(config: Dict[str, Any], salt: int = 0) -> int:
     """A deterministic 63-bit seed derived from a configuration.
 
@@ -140,7 +146,7 @@ def stable_config_seed(config: Dict[str, Any], salt: int = 0) -> int:
     is a pure function of (configuration content, salt), independent of
     the order configurations are created or scheduled in.
     """
-    encoded = repr(sorted((k, repr(v)) for k, v in config.items()))
+    encoded = config_key(config)
     acc = _FNV_CACHE.get(encoded)
     if acc is None:
         if len(_FNV_CACHE) >= _FNV_CACHE_LIMIT:

@@ -278,7 +278,7 @@ class SyntheticSupervisedRun(TrainingRun):
         )
 
     def observed_stream(self) -> tuple:
-        """The full observed stream, batched (sim fast-path hook).
+        """The full observed stream, batched (trace-recording hook).
 
         One vectorized draw consuming the same RNG stream ``step``
         would — ``standard_normal(2E)`` equals ``2E`` sequential scalar

@@ -246,7 +246,7 @@ class SyntheticRLRun(TrainingRun):
         )
 
     def observed_stream(self) -> tuple:
-        """The full observed stream, batched (sim fast-path hook).
+        """The full observed stream, batched (trace-recording hook).
 
         Consumes the same RNG stream ``step`` would, so the result
         matches epoch-by-epoch stepping bit for bit.  Consumes the
