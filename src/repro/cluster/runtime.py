@@ -9,10 +9,12 @@ protocol.  Every worker is a real OS process hosting a real
 through :class:`~repro.cluster.agent.RemoteAgent` proxies over the
 framed TCP transport.
 
-Control flow mirrors :mod:`repro.runtime.local` exactly — one driver
-thread per machine, training outside the scheduler lock, scaled-wall
-sleeps for epoch durations — so live and cluster results are directly
-comparable.  What the cluster adds:
+The control flow is :mod:`repro.runtime.local`'s — the cluster's
+experiment subclasses its :class:`~repro.runtime.local.ThreadedExperiment`
+(one driver thread per machine, training outside the scheduler lock,
+scaled-wall sleeps for epoch durations, a clock that starts at 0.0 once
+the fleet is up) — so live and cluster results are directly
+comparable.  What the cluster adds through the driver's hooks:
 
 * **Membership** — heartbeats detect dead or silent workers
   (:mod:`repro.cluster.membership`).
@@ -31,7 +33,6 @@ import logging
 import multiprocessing
 import threading
 import time
-from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..autoscale import (
@@ -45,13 +46,12 @@ from ..autoscale import (
 )
 from ..curves.predictor import CurvePredictor
 from ..framework.experiment import ExperimentResult, ExperimentSpec
-from ..framework.scheduler import FollowUpAction, HyperDriveScheduler
-from ..generators.base import ExhaustedSpaceError, HyperparameterGenerator
-from ..observability import NULL_RECORDER
+from ..generators.base import HyperparameterGenerator
 from ..observability.aggregator import TelemetryAggregator
 from ..policies.base import SchedulingPolicy
-from ..sim.runner import default_predictor
-from ..workloads.base import EpochResult, Workload
+from ..runtime.local import ThreadedExperiment, check_threaded_arguments
+from ..sim.runner import default_predictor, initial_jobs
+from ..workloads.base import Workload
 from .agent import RemoteAgent
 from .faults import FaultPlan
 from .membership import HeartbeatMonitor
@@ -62,16 +62,17 @@ __all__ = ["run_cluster", "ClusterStartupError"]
 
 logger = logging.getLogger(__name__)
 
-_START = "start"
-_STOP = "stop"
-
 
 class ClusterStartupError(RuntimeError):
     """The worker fleet failed to assemble within the startup window."""
 
 
-class _ClusterExperiment:
+class _ClusterExperiment(ThreadedExperiment):
     """One cluster run: worker processes + head-side driver threads."""
+
+    thread_prefix = "cluster-driver"
+    # The node died under its driver; membership handles recovery.
+    recoverable = (NodeFailure,)
 
     def __init__(
         self,
@@ -81,60 +82,44 @@ class _ClusterExperiment:
         predictor: CurvePredictor,
         time_scale: float,
         fault_plan: FaultPlan,
-        recorder=None,
         heartbeat_interval: float = 0.1,
         miss_threshold: int = 3,
         retry_budget: int = 3,
         rpc_timeout: float = 60.0,
         startup_timeout: float = 30.0,
-        cancel_event: Optional[threading.Event] = None,
-        progress_hook: Optional[Callable] = None,
-        progress_every_epochs: int = 50,
-        setup_hook: Optional[Callable] = None,
         aggregator: Optional[TelemetryAggregator] = None,
         telemetry_interval: float = 0.25,
         fleet: Optional[FleetOptions] = None,
         fleet_control: Optional[FleetControl] = None,
+        **common: Any,
     ) -> None:
-        self.spec = spec
-        self.time_scale = time_scale
-        self.fault_plan = fault_plan
-        self.retry_budget = retry_budget
-        self.startup_timeout = startup_timeout
-        self.cancel_event = cancel_event
-        self.progress_hook = progress_hook
-        self.progress_every_epochs = progress_every_epochs
-        self.setup_hook = setup_hook
-        self._workload = workload
-        self._predictor = predictor
-        self._t0 = time.monotonic()
-        self.lock = threading.Lock()
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self._m_lock_wait = self.recorder.metrics.histogram(
-            "runtime_lock_wait_seconds",
-            help="Wall seconds driver threads waited on the scheduler lock",
-        )
-        self._m_migrations = self.recorder.metrics.counter(
-            "cluster_migrations_total",
-            help="Jobs rescheduled off dead nodes onto survivors",
-        )
         self.transport = ClusterTransport()
         # Node Agents live in worker processes; the scheduler gets
-        # socket proxies and must not build a head-side prediction
-        # pool (predictions are remote, §5.2's distributed shape).
-        self.scheduler = HyperDriveScheduler(
-            workload=workload,
-            policy=policy,
-            spec=spec,
-            clock=self._clock,
-            predictor=None,
-            recorder=recorder,
+        # socket proxies and no head-side predictor (predictions are
+        # remote, §5.2's distributed shape).  Driver mailboxes are
+        # head-local topics on the transport, distinct from the machine
+        # topics, which route over sockets once workers register.
+        super().__init__(
+            workload,
+            policy,
+            spec,
+            time_scale,
             agent_factory=lambda machine_id, **_ignored: RemoteAgent(
                 machine_id, self.transport, rpc_timeout=rpc_timeout,
                 clock=self._clock,
             ),
+            bus=self.transport,
+            **common,
         )
-        self.machine_ids = self.scheduler.resource_manager.machine_ids
+        self.fault_plan = fault_plan
+        self.retry_budget = retry_budget
+        self.startup_timeout = startup_timeout
+        self._workload = workload
+        self._predictor = predictor
+        self._m_migrations = self.recorder.metrics.counter(
+            "cluster_migrations_total",
+            help="Jobs rescheduled off dead nodes onto survivors",
+        )
         # ---- elastic fleet / cost metering (repro.autoscale) ----
         self.fleet = fleet
         self.fleet_control = fleet_control
@@ -180,13 +165,6 @@ class _ClusterExperiment:
         self._last_cost_clock: Optional[float] = None
         self._next_cost_record = 0.0
         self._budget_exhausted_logged = False
-        # Head-local driver mailboxes: distinct from the machine topics,
-        # which route over sockets once workers register.  Declared
-        # before anything can send to them (no startup race).
-        self._drive = {
-            machine_id: self.transport.declare_topic(f"drive/{machine_id}")
-            for machine_id in self.machine_ids
-        }
         self._membership_box = self.transport.declare_topic("membership")
         # Workers ship telemetry unconditionally; the mailbox is always
         # declared so the frames never trip strict delivery.  They are
@@ -205,8 +183,7 @@ class _ClusterExperiment:
             miss_threshold=miss_threshold,
             recorder=self.recorder,
         )
-        self.stop_event = threading.Event()
-        self._threads: List[threading.Thread] = []
+        self._next_head_ingest = 0.0
         self._processes: Dict[str, multiprocessing.process.BaseProcess] = {}
         self._retries: Dict[str, int] = {}
         # Jobs knocked off dead machines, awaiting their restart (the
@@ -216,27 +193,6 @@ class _ClusterExperiment:
         # Resume latency charged to a machine's next epoch after it
         # picks up a migrated job (guarded by the scheduler lock).
         self._resume_charges: Dict[str, float] = {}
-
-    # ----------------------------------------------------------------- time
-
-    def _clock(self) -> float:
-        return (time.monotonic() - self._t0) / self.time_scale
-
-    def _sleep(self, simulated_seconds: float) -> None:
-        self.stop_event.wait(max(simulated_seconds, 0.0) * self.time_scale)
-
-    @contextmanager
-    def _locked(self):
-        if self.recorder.enabled:
-            waited = time.perf_counter()
-            self.lock.acquire()
-            self._m_lock_wait.observe(time.perf_counter() - waited)
-        else:
-            self.lock.acquire()
-        try:
-            yield
-        finally:
-            self.lock.release()
 
     # ------------------------------------------------------------ telemetry
 
@@ -293,8 +249,9 @@ class _ClusterExperiment:
         process.start()
         self._processes[machine_id] = process
 
-    def spawn_workers(self) -> None:
-        """Start the transport and launch the initial worker fleet."""
+    def _launch(self) -> None:
+        """Start the transport, launch the initial worker fleet and wait
+        for its hellos; the experiment clock starts only after this."""
         self.transport.start()
         for machine_id in self._initial_machines:
             self._spawn_worker(machine_id)
@@ -318,6 +275,16 @@ class _ClusterExperiment:
         self.heartbeat.on_up = self._on_up_signal
         self.heartbeat.on_departed = self._on_departed_signal
         self.heartbeat.start()
+        membership = threading.Thread(
+            target=self._membership_loop, name="cluster-membership", daemon=True
+        )
+        membership.start()
+        self._threads.append(membership)
+        if len(self._initial_machines) < len(self.machine_ids):
+            # Elastic start: only the booted minimum is in service; the
+            # rest of the ledger waits drained for a grow.
+            with self.lock:
+                self.scheduler.resize(len(self._initial_machines))
 
     # ------------------------------------------------------------ membership
 
@@ -497,170 +464,39 @@ class _ClusterExperiment:
             )
         return started
 
-    # -------------------------------------------------------------- drivers
+    # ---------------------------------------------------------------- hooks
 
-    def _notify_started(self, started: Sequence[str]) -> None:
-        for machine_id in started:
-            self.transport.send(
-                f"drive/{machine_id}", _START, None, sender="scheduler"
-            )
-
-    def _driver(self, machine_id: str) -> None:
-        mailbox = self._drive[machine_id]
-        while not self.stop_event.is_set():
-            message = mailbox.get(timeout=0.02)
-            if message is None:
-                continue
-            if message.kind == _STOP:
-                return
-            try:
-                self._run_assignment(machine_id)
-            except NodeFailure:
-                # The node died under us; membership handles recovery.
-                continue
-
-    def _run_assignment(self, machine_id: str) -> None:
-        """Drive the hosted job epoch by epoch (the live runtime's loop,
-        with every agent call crossing the wire)."""
-        agent: RemoteAgent = self.scheduler.agents[machine_id]
-        tracer = self.recorder.tracer
+    def _resume_delay(self, machine_id: str) -> float:
         with self._locked():
-            extra_delay = self._resume_charges.pop(machine_id, 0.0)
-        scale = 1.0
-        while not self.stop_event.is_set():
-            if agent.run is None:
-                return
-            # One root span per epoch: the train RPC it issues carries
-            # this trace id to the worker, and the settlement's
-            # ``scheduler.process_epoch`` span nests inside it — head
-            # scheduler → worker epoch → head settlement, one trace.
-            with tracer.span(
-                "cluster.epoch",
-                machine_id=machine_id,
-                job_id=agent.job_id or "",
-            ) as epoch_span:
-                raw = agent.train_epoch()
-                epoch_span.set(epoch=raw.epoch)
-                result = EpochResult(
-                    epoch=raw.epoch,
-                    duration=raw.duration
-                    * scale
-                    / self.scheduler.machine_speed(machine_id),
-                    metric=raw.metric,
-                    done=raw.done,
-                    extras=raw.extras,
-                )
-                self._sleep(extra_delay + result.duration)
-                if self.stop_event.is_set():
-                    return
-                with self._locked():
-                    if agent.dead or agent.job_id is None:
-                        # Declared dead while we slept out the epoch;
-                        # the result belongs to a failed machine and
-                        # must not be recorded.
-                        return
-                    followup = self.scheduler.process_epoch(machine_id, result)
-                    started = self._take_started()
-            self._notify_started(started)
+            return self._resume_charges.pop(machine_id, 0.0)
 
-            if followup.action is FollowUpAction.NEXT_EPOCH:
-                extra_delay, scale = followup.delay, followup.epoch_scale
-                continue
-            if followup.action is FollowUpAction.RELEASE_MACHINE:
-                self._sleep(followup.delay)
-                if self.stop_event.is_set():
-                    return
-                with self._locked():
-                    if self.scheduler.resource_manager.is_failed(machine_id):
-                        return
-                    self.scheduler.machine_released(machine_id)
-                    started = self._take_started()
-                self._notify_started(started)
-                return
-            # EXPERIMENT_DONE
-            self.stop_event.set()
-            return
-
-    # ------------------------------------------------------------------ run
-
-    def run(self) -> ExperimentResult:
-        self.spawn_workers()
-        membership = threading.Thread(
-            target=self._membership_loop, name="cluster-membership", daemon=True
+    def _epoch_span(self, machine_id: str, agent: RemoteAgent):
+        # One root span per epoch: the train RPC it issues carries this
+        # trace id to the worker, and the settlement's
+        # ``scheduler.process_epoch`` span nests inside it — head
+        # scheduler → worker epoch → head settlement, one trace.
+        return self.recorder.tracer.span(
+            "cluster.epoch", machine_id=machine_id, job_id=agent.job_id or ""
         )
-        membership.start()
-        self._threads.append(membership)
-        with self.lock:
-            if len(self._initial_machines) < len(self.machine_ids):
-                # Elastic start: only the booted minimum is in service;
-                # the rest of the ledger waits drained for a grow.
-                self.scheduler.resize(len(self._initial_machines))
-            if self.setup_hook is not None:
-                self.setup_hook(self.scheduler)
-            self.scheduler.begin()
-            started = self._take_started()
-        for machine_id in self.machine_ids:
-            thread = threading.Thread(
-                target=self._driver,
-                args=(machine_id,),
-                name=f"cluster-driver-{machine_id}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-        self._notify_started(started)
-        try:
-            self._monitor()
-        except BaseException:
-            self._shutdown(strict=False)
-            raise
-        self._shutdown(strict=True)
-        if self.cost_meter is not None:
-            self._meter_costs(publish=True)
-            self.cost_meter.close()
-        with self.lock:
-            return self.scheduler.finalize()
 
-    def _monitor(self) -> None:
-        deadline = time.monotonic() + self.spec.tmax * self.time_scale + 30.0
-        last_progress = 0
-        next_head_ingest = 0.0
-        while not self.stop_event.is_set() and time.monotonic() < deadline:
-            time.sleep(0.02)
-            if self.cancel_event is not None and self.cancel_event.is_set():
-                return
-            if self.recorder.enabled:
-                self.transport.export_metrics(self.recorder.metrics)
-            self._drain_telemetry()
-            now = time.monotonic()
-            if now >= next_head_ingest:
-                next_head_ingest = now + self.telemetry_interval
-                self._ingest_head()
-            if self.fleet is not None:
-                self._fleet_tick()
-            with self.lock:
-                quiescent = (
-                    self.scheduler.resource_manager.num_busy == 0
-                    and self.scheduler.job_manager.num_idle == 0
-                )
-                epochs = self.scheduler.result.epochs_trained
-                started: Sequence[str] = ()
-                if (
-                    self.progress_hook is not None
-                    and epochs - last_progress >= self.progress_every_epochs
-                ):
-                    last_progress = epochs
-                    self.progress_hook(self.scheduler)
-                    # A hook may resize the pool (broker sync): jobs
-                    # started on regrown machines need their wake-up.
-                    started = self._take_started()
-            self._notify_started(started)
-            if quiescent:
-                return
-            if self.heartbeat.nodes_up == 0:
-                # The whole fleet is gone; nothing can make progress.
-                logger.error("all cluster nodes are down; aborting run")
-                return
+    def _epoch_lost(self, agent: RemoteAgent) -> bool:
+        # Declared dead while its driver slept out the epoch: the result
+        # belongs to a failed machine and must not be recorded.
+        return agent.dead or agent.job_id is None
+
+    def _tick(self) -> bool:
+        self._drain_telemetry()
+        now = time.monotonic()
+        if now >= self._next_head_ingest:
+            self._next_head_ingest = now + self.telemetry_interval
+            self._ingest_head()
+        if self.fleet is not None:
+            self._fleet_tick()
+        if self.heartbeat.nodes_up == 0:
+            # The whole fleet is gone; nothing can make progress.
+            logger.error("all cluster nodes are down; aborting run")
+            return False
+        return True
 
     # ---------------------------------------------------------------- fleet
 
@@ -857,18 +693,7 @@ class _ClusterExperiment:
                     }
                 )
 
-    def _shutdown(self, strict: bool) -> None:
-        self.stop_event.set()
-        for machine_id in self.machine_ids:
-            try:
-                self.transport.send(
-                    f"drive/{machine_id}", _STOP, None, sender="scheduler"
-                )
-            except KeyError:
-                pass
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        stuck = [thread.name for thread in self._threads if thread.is_alive()]
+    def _teardown(self) -> None:
         self.heartbeat.stop()
         for machine_id in self.machine_ids:
             agent: RemoteAgent = self.scheduler.agents[machine_id]
@@ -885,12 +710,9 @@ class _ClusterExperiment:
         # still queued; fold them in so the final export is complete.
         self._drain_telemetry()
         self._ingest_head()
-        if stuck and strict:
-            raise RuntimeError(
-                "cluster driver threads failed to stop within 5s: "
-                + ", ".join(stuck)
-                + "; experiment state may be inconsistent"
-            )
+        if self.cost_meter is not None:
+            self._meter_costs(publish=True)
+            self.cost_meter.close()
 
 
 def run_cluster(
@@ -925,7 +747,8 @@ def run_cluster(
         policy: the SAP under test (runs unchanged at the head).
         generator: HG minting configurations (or pass ``configs``).
         spec: experiment parameters; ``spec.num_machines`` worker
-            processes are spawned.
+            processes are spawned.  ``machine_mtbf`` is rejected:
+            failures come from ``fault_plan``.
         predictor: curve predictor, instantiated *in each worker*
             (§5.2's distributed prediction, now genuinely distributed).
         configs: explicit configuration list.
@@ -958,7 +781,9 @@ def run_cluster(
 
     Returns:
         The finalised :class:`ExperimentResult` on the simulated-seconds
-        axis, comparable to ``run_live`` and ``run_simulation`` output.
+        axis, comparable to ``run_live`` and ``run_simulation`` output:
+        the clock starts at 0.0 once every initial worker said hello,
+        so spawn time is not charged to ``spec.tmax``.
 
     Raises:
         ClusterStartupError: a worker never said hello.
@@ -966,21 +791,19 @@ def run_cluster(
     """
     if spec is None:
         spec = ExperimentSpec()
-    if (generator is None) == (configs is None):
-        raise ValueError("provide exactly one of generator or configs")
-    if time_scale <= 0:
-        raise ValueError("time_scale must be positive")
+    check_threaded_arguments(
+        spec, time_scale, progress_every_epochs,
+        "inject cluster failures with a FaultPlan",
+    )
     if retry_budget < 0:
         raise ValueError("retry_budget must be >= 0")
-    if progress_every_epochs < 1:
-        raise ValueError("progress_every_epochs must be >= 1")
     if fleet is not None and fleet.autoscale is not None:
         if fleet.autoscale[1] != spec.num_machines:
             raise ValueError(
                 "fleet.autoscale max must equal spec.num_machines "
                 f"({fleet.autoscale[1]} != {spec.num_machines})"
             )
-
+    jobs = initial_jobs(generator, configs, spec.num_configs)
     experiment = _ClusterExperiment(
         workload=workload,
         policy=policy,
@@ -1003,15 +826,4 @@ def run_cluster(
         fleet=fleet,
         fleet_control=fleet_control,
     )
-    if configs is not None:
-        for index, config in enumerate(configs):
-            experiment.scheduler.add_job(f"job-{index:04d}", config)
-    else:
-        assert generator is not None
-        for _ in range(spec.num_configs):
-            try:
-                job_id, config = generator.create_job()
-            except ExhaustedSpaceError:
-                break
-            experiment.scheduler.add_job(job_id, config)
-    return experiment.run()
+    return experiment.run(jobs)

@@ -216,6 +216,20 @@ class HyperDriveScheduler:
         index = self.resource_manager.machine_ids.index(machine_id)
         return factors[index]
 
+    def scaled_epoch(
+        self, machine_id: str, raw: EpochResult, scale: float
+    ) -> EpochResult:
+        """``raw`` as it elapses on ``machine_id``: stretched by
+        ``scale`` (contention from an overlapped prediction) and shrunk
+        by the machine's speed (heterogeneous clusters)."""
+        return EpochResult(
+            epoch=raw.epoch,
+            duration=raw.duration * scale / self.machine_speed(machine_id),
+            metric=raw.metric,
+            done=raw.done,
+            extras=raw.extras,
+        )
+
     def process_epoch(self, machine_id: str, result: EpochResult) -> FollowUp:
         """Handle one finished epoch; returns the backend instruction."""
         if self._done:

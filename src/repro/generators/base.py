@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 import itertools
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .space import SearchSpace
 
@@ -49,6 +49,16 @@ class HyperparameterGenerator(abc.ABC):
         job_id = f"job-{next(self._counter):04d}"
         self._proposed[job_id] = dict(config)
         return job_id, dict(config)
+
+    def create_jobs(self, count: int) -> List[Tuple[str, Dict[str, Any]]]:
+        """Mint up to ``count`` jobs, fewer if the space runs out first."""
+        jobs = []
+        for _ in range(count):
+            try:
+                jobs.append(self.create_job())
+            except ExhaustedSpaceError:
+                break
+        return jobs
 
     def report_final_performance(self, job_id: str, performance: float) -> None:
         """Feed back the final model performance of a finished job."""

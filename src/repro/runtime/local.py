@@ -10,6 +10,10 @@ so thread-scheduling jitter, lock contention, and message timing
 perturb the experiment exactly the way network/OS jitter perturbs the
 paper's live runs.
 
+:class:`ThreadedExperiment` is the one thread-per-machine driver: the
+cluster runtime (:mod:`repro.cluster.runtime`) runs the same loops with
+Node Agents in worker processes, overriding only its hooks.
+
 ``time_scale`` maps simulated seconds to wall seconds (default 1 ms per
 simulated second, so a 4-hour experiment replays in ~14 s).
 """
@@ -19,17 +23,17 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..curves.predictor import CurvePredictor
 from ..framework.experiment import ExperimentResult, ExperimentSpec
 from ..framework.scheduler import FollowUpAction, HyperDriveScheduler
 from ..framework.transport import MessageBus
-from ..generators.base import ExhaustedSpaceError, HyperparameterGenerator
-from ..observability import NULL_RECORDER
+from ..generators.base import HyperparameterGenerator
+from ..observability import NULL_RECORDER, NULL_TRACER
 from ..policies.base import SchedulingPolicy
-from ..workloads.base import EpochResult, Workload
-from ..sim.runner import default_predictor
+from ..workloads.base import Workload
+from ..sim.runner import default_predictor, initial_jobs
 
 __all__ = ["run_live"]
 
@@ -63,21 +67,55 @@ class _UnlockedPredictor(CurvePredictor):
             self._lock.acquire()
 
 
-class _LiveExperiment:
-    """One live run: worker threads + shared scheduler."""
+def check_threaded_arguments(
+    spec: ExperimentSpec,
+    time_scale: float,
+    progress_every_epochs: int,
+    failures_hint: str,
+) -> None:
+    """Reject arguments a threaded runtime cannot honour."""
+    if time_scale <= 0:
+        raise ValueError("time_scale must be positive")
+    if progress_every_epochs < 1:
+        raise ValueError("progress_every_epochs must be >= 1")
+    if spec.machine_mtbf is not None:
+        raise ValueError(
+            "ExperimentSpec.machine_mtbf is honoured only by run_simulation; "
+            + failures_hint
+        )
+
+
+class ThreadedExperiment:
+    """One threaded run: a driver thread per machine around the shared
+    scheduler, a monitor loop on the calling thread.
+
+    The live runtime uses this class as is.  The cluster runtime
+    overrides the hooks — :meth:`_launch`, :meth:`_resume_delay`,
+    :meth:`_epoch_span`, :meth:`_epoch_lost`, :meth:`_take_started`,
+    :meth:`_tick` and :meth:`_teardown` — and shares the clock, the
+    epoch loop, the monitor and the shutdown.
+    """
+
+    #: Thread-name prefix of the per-machine drivers.
+    thread_prefix = "live-worker"
+    #: Exceptions that abandon a driver's current assignment but keep
+    #: the driver waiting for its next one.
+    recoverable: Tuple[Type[BaseException], ...] = ()
 
     def __init__(
         self,
         workload: Workload,
         policy: SchedulingPolicy,
         spec: ExperimentSpec,
-        predictor: CurvePredictor,
         time_scale: float,
+        predictor: Optional[CurvePredictor] = None,
         recorder=None,
         cancel_event: Optional[threading.Event] = None,
         progress_hook: Optional[Callable] = None,
         progress_every_epochs: int = 50,
         setup_hook: Optional[Callable] = None,
+        agent_factory: Optional[Callable] = None,
+        bus: Optional[MessageBus] = None,
     ) -> None:
         self.spec = spec
         self.time_scale = time_scale
@@ -85,42 +123,50 @@ class _LiveExperiment:
         self.progress_hook = progress_hook
         self.progress_every_epochs = progress_every_epochs
         self.setup_hook = setup_hook
-        self._t0 = time.monotonic()
+        # Set when the drivers launch; the clock reads 0.0 until then.
+        self._t0: Optional[float] = None
         self.lock = threading.Lock()
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        # Lock contention is the live runtime's analogue of the paper's
-        # central-scheduler serialisation (§5.2): measurable when
-        # observability is on.
+        # Lock contention is the threaded runtimes' analogue of the
+        # paper's central-scheduler serialisation (§5.2): measurable
+        # when observability is on.
         self._m_lock_wait = self.recorder.metrics.histogram(
             "runtime_lock_wait_seconds",
-            help="Wall seconds worker threads waited on the scheduler lock",
+            help="Wall seconds driver threads waited on the scheduler lock",
         )
         self.scheduler = HyperDriveScheduler(
             workload=workload,
             policy=policy,
             spec=spec,
             clock=self._clock,
-            predictor=_UnlockedPredictor(predictor, self.lock),
+            predictor=(
+                _UnlockedPredictor(predictor, self.lock)
+                if predictor is not None
+                else None
+            ),
             recorder=recorder,
+            agent_factory=agent_factory,
         )
-        self.bus = MessageBus()
+        self.machine_ids = self.scheduler.resource_manager.machine_ids
+        self.bus = bus if bus is not None else MessageBus()
         # Declared before any producer exists: the scheduler may start
-        # jobs (and send to these topics) before the worker threads
-        # subscribe, and delivery is strict.
-        self._mailboxes = {
-            machine_id: self.bus.declare_topic(machine_id)
-            for machine_id in self.scheduler.resource_manager.machine_ids
+        # jobs (and send to these topics) before the drivers subscribe,
+        # and delivery is strict.
+        self._drive = {
+            machine_id: self.bus.declare_topic(f"drive/{machine_id}")
+            for machine_id in self.machine_ids
         }
         self.stop_event = threading.Event()
-        self._threads = []
+        self._threads: List[threading.Thread] = []
 
     def _clock(self) -> float:
-        """Experiment time: scaled wall-clock since start."""
-        return (time.monotonic() - self._t0) / self.time_scale
+        """Experiment time: scaled wall-clock since the drivers launched."""
+        t0 = self._t0
+        return 0.0 if t0 is None else (time.monotonic() - t0) / self.time_scale
 
     def _sleep(self, simulated_seconds: float) -> None:
         # Event.wait instead of time.sleep so a stop/cancel mid-epoch
-        # wakes the worker immediately instead of after the full
+        # wakes the driver immediately instead of after the full
         # (scaled) epoch duration.
         self.stop_event.wait(max(simulated_seconds, 0.0) * self.time_scale)
 
@@ -139,50 +185,78 @@ class _LiveExperiment:
         finally:
             self.lock.release()
 
-    # ------------------------------------------------------------ workers
+    # ---------------------------------------------------------------- hooks
+
+    def _launch(self) -> None:
+        """Bring up the machines before ``begin`` (nothing in-process)."""
+
+    def _resume_delay(self, machine_id: str) -> float:
+        """Extra delay before a new assignment's first epoch."""
+        return 0.0
+
+    def _epoch_span(self, machine_id: str, agent):
+        """Trace context around one epoch's train, sleep and settle."""
+        return NULL_TRACER.span("epoch")
+
+    def _epoch_lost(self, agent) -> bool:
+        """Under the lock: whether the finished epoch must be dropped
+        (an in-process machine never loses one)."""
+        return False
+
+    def _take_started(self) -> List[str]:
+        """Under the lock: machines whose jobs were just started."""
+        return self.scheduler.take_started_machines()
+
+    def _tick(self) -> bool:
+        """One monitor round's extra work; False aborts the run."""
+        return True
+
+    def _teardown(self) -> None:
+        """Release the machines once every driver has stopped."""
+
+    # -------------------------------------------------------------- drivers
 
     def _notify_started(self, started: Sequence[str]) -> None:
         for machine_id in started:
-            self.bus.send(machine_id, _START, None, sender="scheduler")
+            self.bus.send(f"drive/{machine_id}", _START, None, sender="scheduler")
 
-    def _worker(self, machine_id: str) -> None:
-        mailbox = self._mailboxes[machine_id]
+    def _driver(self, machine_id: str) -> None:
+        mailbox = self._drive[machine_id]
         while not self.stop_event.is_set():
             message = mailbox.get(timeout=0.02)
             if message is None:
                 continue
             if message.kind == _STOP:
                 return
-            self._run_assignment(machine_id)
+            try:
+                self._run_assignment(machine_id)
+            except self.recoverable:
+                continue
 
     def _run_assignment(self, machine_id: str) -> None:
         """Drive the hosted job epoch by epoch until it leaves this
         machine (suspend/terminate/complete) or the experiment ends."""
         agent = self.scheduler.agents[machine_id]
-        extra_delay, scale = 0.0, 1.0
+        extra_delay, scale = self._resume_delay(machine_id), 1.0
         while not self.stop_event.is_set():
             # Training executes outside the lock: the agent is owned by
             # this thread while the job is assigned here.
             if agent.run is None:
                 return
-            raw = agent.train_epoch()
-            result = EpochResult(
-                epoch=raw.epoch,
-                duration=raw.duration
-                * scale
-                / self.scheduler.machine_speed(machine_id),
-                metric=raw.metric,
-                done=raw.done,
-                extras=raw.extras,
-            )
-            self._sleep(extra_delay + result.duration)
-            if self.stop_event.is_set():
-                # Stopped/cancelled mid-epoch: the epoch never finished,
-                # so its result must not be recorded.
-                return
-            with self._locked():
-                followup = self.scheduler.process_epoch(machine_id, result)
-                started = self.scheduler.take_started_machines()
+            with self._epoch_span(machine_id, agent) as epoch_span:
+                raw = agent.train_epoch()
+                epoch_span.set(epoch=raw.epoch)
+                result = self.scheduler.scaled_epoch(machine_id, raw, scale)
+                self._sleep(extra_delay + result.duration)
+                if self.stop_event.is_set():
+                    # Stopped/cancelled mid-epoch: the epoch never
+                    # finished, so its result must not be recorded.
+                    return
+                with self._locked():
+                    if self._epoch_lost(agent):
+                        return
+                    followup = self.scheduler.process_epoch(machine_id, result)
+                    started = self._take_started()
             self._notify_started(started)
 
             if followup.action is FollowUpAction.NEXT_EPOCH:
@@ -193,27 +267,35 @@ class _LiveExperiment:
                 if self.stop_event.is_set():
                     return
                 with self._locked():
+                    if self.scheduler.resource_manager.is_failed(machine_id):
+                        return  # the node died during the release delay
                     self.scheduler.machine_released(machine_id)
-                    started = self.scheduler.take_started_machines()
+                    started = self._take_started()
                 self._notify_started(started)
                 return
             # EXPERIMENT_DONE
             self.stop_event.set()
             return
 
-    # --------------------------------------------------------------- run
+    # ------------------------------------------------------------------ run
 
-    def run(self) -> ExperimentResult:
+    def run(self, jobs: Sequence[Tuple[str, Dict[str, Any]]]) -> ExperimentResult:
+        for job_id, config in jobs:
+            self.scheduler.add_job(job_id, config)
+        self._launch()
         with self.lock:
             if self.setup_hook is not None:
                 self.setup_hook(self.scheduler)
             self.scheduler.begin()
-            started = self.scheduler.take_started_machines()
-        for machine_id in self.scheduler.resource_manager.machine_ids:
+            started = self._take_started()
+        # Minting, launch and begin() happen at time 0.0, as in the
+        # simulator: startup is not charged to the Tmax horizon.
+        self._t0 = time.monotonic()
+        for machine_id in self.machine_ids:
             thread = threading.Thread(
-                target=self._worker,
+                target=self._driver,
                 args=(machine_id,),
-                name=f"live-worker-{machine_id}",
+                name=f"{self.thread_prefix}-{machine_id}",
                 daemon=True,
             )
             thread.start()
@@ -224,7 +306,7 @@ class _LiveExperiment:
             self._monitor()
         except BaseException:
             # KeyboardInterrupt (or any monitor failure) must not
-            # abandon the workers silently: stop them best-effort, then
+            # abandon the drivers silently: stop them best-effort, then
             # let the original exception propagate.
             self._shutdown(strict=False)
             raise
@@ -243,6 +325,8 @@ class _LiveExperiment:
                 return
             if self.recorder.enabled:
                 self.bus.export_metrics(self.recorder.metrics)
+            if not self._tick():
+                return
             with self.lock:
                 quiescent = (
                     self.scheduler.resource_manager.num_busy == 0
@@ -258,28 +342,29 @@ class _LiveExperiment:
                     self.progress_hook(self.scheduler)
                     # A hook may resize the pool (broker sync): jobs
                     # started on regrown machines need their wake-up.
-                    started = self.scheduler.take_started_machines()
+                    started = self._take_started()
             self._notify_started(started)
             if quiescent:
                 return
 
     def _shutdown(self, strict: bool) -> None:
-        """Stop all workers; with ``strict`` raise if any fail to stop.
+        """Stop all drivers; with ``strict`` raise if any fail to stop.
 
         The daemon's cancel endpoint relies on this path being
-        reliable: a worker that outlives the join window means the
+        reliable: a driver that outlives the join window means the
         scheduler may still mutate after finalize, so that is an error
         rather than a silent leak.
         """
         self.stop_event.set()
-        for machine_id in self._mailboxes:
-            self.bus.send(machine_id, _STOP, None, sender="scheduler")
+        for machine_id in self.machine_ids:
+            self.bus.send(f"drive/{machine_id}", _STOP, None, sender="scheduler")
         for thread in self._threads:
             thread.join(timeout=5.0)
         stuck = [thread.name for thread in self._threads if thread.is_alive()]
+        self._teardown()
         if stuck and strict:
             raise RuntimeError(
-                "live runtime workers failed to stop within 5s: "
+                "runtime threads failed to stop within 5s: "
                 + ", ".join(stuck)
                 + "; experiment state may be inconsistent"
             )
@@ -305,7 +390,8 @@ def run_live(
         workload: the training problem.
         policy: the SAP under test.
         generator: HG minting configurations (or pass ``configs``).
-        spec: experiment parameters.
+        spec: experiment parameters; ``machine_mtbf`` is rejected (only
+            the simulator arms machine failures).
         predictor: curve predictor; defaults to the bench predictor.
         configs: explicit configuration list.
         time_scale: wall seconds per simulated second.
@@ -324,41 +410,29 @@ def run_live(
 
     Returns:
         The finalised :class:`ExperimentResult`, with timestamps on the
-        simulated-seconds axis (comparable to ``run_simulation``).
+        simulated-seconds axis (comparable to ``run_simulation``): the
+        clock starts at 0.0 when the machine threads launch.
 
     Raises:
         RuntimeError: a worker thread failed to stop during shutdown.
     """
     if spec is None:
         spec = ExperimentSpec()
-    if (generator is None) == (configs is None):
-        raise ValueError("provide exactly one of generator or configs")
-    if time_scale <= 0:
-        raise ValueError("time_scale must be positive")
-    if progress_every_epochs < 1:
-        raise ValueError("progress_every_epochs must be >= 1")
-
-    experiment = _LiveExperiment(
+    check_threaded_arguments(
+        spec, time_scale, progress_every_epochs,
+        "inject failures into a threaded run with run_cluster's FaultPlan",
+    )
+    jobs = initial_jobs(generator, configs, spec.num_configs)
+    experiment = ThreadedExperiment(
         workload=workload,
         policy=policy,
         spec=spec,
-        predictor=predictor if predictor is not None else default_predictor(),
         time_scale=time_scale,
+        predictor=predictor if predictor is not None else default_predictor(),
         recorder=recorder,
         cancel_event=cancel_event,
         progress_hook=progress_hook,
         progress_every_epochs=progress_every_epochs,
         setup_hook=setup_hook,
     )
-    if configs is not None:
-        for index, config in enumerate(configs):
-            experiment.scheduler.add_job(f"job-{index:04d}", config)
-    else:
-        assert generator is not None
-        for _ in range(spec.num_configs):
-            try:
-                job_id, config = generator.create_job()
-            except ExhaustedSpaceError:
-                break
-            experiment.scheduler.add_job(job_id, config)
-    return experiment.run()
+    return experiment.run(jobs)

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from typing import Any, Callable, Dict, Optional
 
-from ..generators.base import ExhaustedSpaceError
 from ..observability import Recorder
 from .store import (
     CANCELLED,
@@ -299,12 +299,9 @@ def _run(
     configs = store.minted_configs(exp_id)
     if configs is None:
         generator = submission.build_generator(workload)
-        configs = []
-        for _ in range(submission.configs):
-            try:
-                configs.append(generator.create_job()[1])
-            except ExhaustedSpaceError:
-                break
+        configs = [
+            config for _, config in generator.create_jobs(submission.configs)
+        ]
         store.record_configs(exp_id, configs)
 
     recorder = Recorder(exporter=store.journal_exporter(exp_id))
@@ -421,13 +418,10 @@ def _run_sim(
     )
 
 
-def _run_live(
-    store, exp_id, submission, workload, policy, spec, configs,
-    recorder, checkpoint_hook, poll_wall_seconds, control=None,
-    setup_hook=None,
-):
-    from ..runtime.local import run_live
-
+@contextmanager
+def _cancel_monitor(store, exp_id, control, poll_wall_seconds):
+    """A threaded run's cancel event, set by a monitor thread once the
+    store flags the experiment cancelled or the broker preempts it."""
     cancel_event = threading.Event()
     done = threading.Event()
 
@@ -445,6 +439,22 @@ def _run_live(
     )
     monitor_thread.start()
     try:
+        yield cancel_event
+    finally:
+        done.set()
+        monitor_thread.join(timeout=5.0)
+
+
+def _run_live(
+    store, exp_id, submission, workload, policy, spec, configs,
+    recorder, checkpoint_hook, poll_wall_seconds, control=None,
+    setup_hook=None,
+):
+    from ..runtime.local import run_live
+
+    with _cancel_monitor(
+        store, exp_id, control, poll_wall_seconds
+    ) as cancel_event:
         return run_live(
             workload,
             policy,
@@ -457,9 +467,6 @@ def _run_live(
             progress_every_epochs=submission.checkpoint_every,
             setup_hook=setup_hook,
         )
-    finally:
-        done.set()
-        monitor_thread.join(timeout=5.0)
 
 
 def _run_cluster(
@@ -494,23 +501,9 @@ def _run_cluster(
             ),
         )
 
-    cancel_event = threading.Event()
-    done = threading.Event()
-
-    def monitor() -> None:
-        while not done.is_set():
-            if store.cancel_requested(exp_id) or (
-                control is not None and control.preempted.is_set()
-            ):
-                cancel_event.set()
-                return
-            done.wait(max(poll_wall_seconds, 0.02))
-
-    monitor_thread = threading.Thread(
-        target=monitor, name=f"cancel-monitor-{exp_id}", daemon=True
-    )
-    monitor_thread.start()
-    try:
+    with _cancel_monitor(
+        store, exp_id, control, poll_wall_seconds
+    ) as cancel_event:
         return run_cluster(
             workload,
             policy,
@@ -526,6 +519,3 @@ def _run_cluster(
             fleet=fleet,
             fleet_control=fleet_control,
         )
-    finally:
-        done.set()
-        monitor_thread.join(timeout=5.0)

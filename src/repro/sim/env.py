@@ -32,7 +32,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..generators.base import ExhaustedSpaceError
 from ..learn.features import ConfigStateArrays, feature_matrix
 from ..metrics.stats import minmax_normalize
 from .trace import Trace, record_trace
@@ -131,13 +130,9 @@ class SchedulerEnv:
             max_configs=self.config.num_configs,
             gen_seed=gen_seed,
         )
-        configs: List[Dict[str, Any]] = []
-        for _ in range(self.config.num_configs):
-            try:
-                _, config = generator.create_job()
-            except ExhaustedSpaceError:
-                break
-            configs.append(config)
+        configs = [
+            config for _, config in generator.create_jobs(self.config.num_configs)
+        ]
         if not configs:
             raise RuntimeError("generator produced no configurations")
         # The noise seed varies *with* the generator seed (offset by the

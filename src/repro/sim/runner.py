@@ -9,7 +9,7 @@ and drives the experiment to completion.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,12 +19,12 @@ from ..framework.scheduler import (
     FollowUpAction,
     HyperDriveScheduler,
 )
-from ..generators.base import ExhaustedSpaceError, HyperparameterGenerator
+from ..generators.base import HyperparameterGenerator
 from ..policies.base import SchedulingPolicy
 from ..workloads.base import EpochResult, Workload
 from .engine import SimulationEngine
 
-__all__ = ["run_simulation", "default_predictor"]
+__all__ = ["run_simulation", "default_predictor", "initial_jobs"]
 
 
 def default_predictor() -> CurvePredictor:
@@ -40,6 +40,25 @@ def default_predictor() -> CurvePredictor:
         model_names=LeastSquaresCurvePredictor.FAST_MODEL_SUBSET,
         max_nfev=60,
     )
+
+
+def initial_jobs(
+    generator: Optional[HyperparameterGenerator],
+    configs: Optional[Sequence[Dict[str, Any]]],
+    count: int,
+) -> List[Tuple[str, Dict[str, Any]]]:
+    """An experiment's ``(job_id, config)`` pairs, for every runtime.
+
+    Exactly one source: explicit ``configs`` become ``job-NNNN`` in
+    order, or ``generator`` mints up to ``count`` of them.
+    """
+    if (generator is None) == (configs is None):
+        raise ValueError("provide exactly one of generator or configs")
+    if configs is not None:
+        return [
+            (f"job-{index:04d}", config) for index, config in enumerate(configs)
+        ]
+    return generator.create_jobs(count)
 
 
 def run_simulation(
@@ -85,8 +104,7 @@ def run_simulation(
     """
     if spec is None:
         spec = ExperimentSpec()
-    if (generator is None) == (configs is None):
-        raise ValueError("provide exactly one of generator or configs")
+    jobs = initial_jobs(generator, configs, spec.num_configs)
 
     engine = SimulationEngine(recorder=recorder)
     scheduler = HyperDriveScheduler(
@@ -98,17 +116,8 @@ def run_simulation(
         recorder=recorder,
     )
 
-    if configs is not None:
-        for index, config in enumerate(configs):
-            scheduler.add_job(f"job-{index:04d}", config)
-    else:
-        assert generator is not None
-        for _ in range(spec.num_configs):
-            try:
-                job_id, config = generator.create_job()
-            except ExhaustedSpaceError:
-                break
-            scheduler.add_job(job_id, config)
+    for job_id, config in jobs:
+        scheduler.add_job(job_id, config)
 
     generations: Dict[str, int] = {
         machine_id: 0 for machine_id in scheduler.resource_manager.machine_ids
@@ -218,17 +227,8 @@ def _begin_epoch(
     dropped — the crash destroyed that epoch's work.
     """
     agent = scheduler.agents[machine_id]
-    raw = agent.train_epoch()
-    # Contention from an overlapped prediction stretches the epoch; a
-    # blocking prediction holds the machine before it starts; faster
-    # machines (heterogeneous clusters) shrink it.
-    result = EpochResult(
-        epoch=raw.epoch,
-        duration=raw.duration * scale / scheduler.machine_speed(machine_id),
-        metric=raw.metric,
-        done=raw.done,
-        extras=raw.extras,
-    )
+    # A blocking prediction holds the machine before the epoch starts.
+    result = scheduler.scaled_epoch(machine_id, agent.train_epoch(), scale)
     generation = _generation(generations, machine_id)
     engine.schedule(
         extra_delay + result.duration,

@@ -71,6 +71,11 @@ def test_argument_validation(cifar10_workload):
         run_cluster(
             cifar10_workload, BanditPolicy(), configs=configs, retry_budget=-1
         )
+    with pytest.raises(ValueError, match="machine_mtbf.*FaultPlan"):
+        run_cluster(
+            cifar10_workload, BanditPolicy(), configs=configs,
+            spec=make_spec(machine_mtbf=4000.0),
+        )
 
 
 def test_cluster_matches_in_process_live_runtime(cifar10_workload, fast_predictor):

@@ -27,6 +27,11 @@ def test_time_scale_validation(cifar10_workload):
         run_live(
             cifar10_workload, DefaultPolicy(), configs=configs, time_scale=0.0
         )
+    with pytest.raises(ValueError, match="machine_mtbf"):
+        run_live(
+            cifar10_workload, DefaultPolicy(), configs=configs,
+            spec=ExperimentSpec(machine_mtbf=4000.0),
+        )
 
 
 def test_live_default_run_completes_all_jobs(cifar10_workload):
