@@ -253,22 +253,18 @@ class _ClusterExperiment(ThreadedExperiment):
         """Start the transport, launch the initial worker fleet and wait
         for its hellos; the experiment clock starts only after this."""
         self.transport.start()
-        for machine_id in self._initial_machines:
-            self._spawn_worker(machine_id)
         # Pinging starts only once the whole fleet has said hello: while
         # its peers are still importing, an early worker can be starved
         # of CPU long enough to miss pings, and a node declared down
-        # before the barrier would keep it from ever opening.
-        if not self.heartbeat.wait_all_up(self.startup_timeout):
-            missing = [
-                machine_id
-                for machine_id in self._initial_machines
-                if not self.heartbeat.is_up(machine_id)
-            ]
-            raise ClusterStartupError(
-                f"workers never registered within {self.startup_timeout}s: "
-                + ", ".join(missing)
-            )
+        # before the barrier would keep it from ever opening.  A launch
+        # that fails leaves no worker process behind.
+        try:
+            for machine_id in self._initial_machines:
+                self._spawn_worker(machine_id)
+            self._await_hellos()
+        except BaseException:
+            self._abort_launch()
+            raise
         # Membership callbacks attach only after the startup barrier, so
         # the initial hellos do not masquerade as recoveries.
         self.heartbeat.on_down = self._on_down_signal
@@ -285,6 +281,40 @@ class _ClusterExperiment(ThreadedExperiment):
             # rest of the ledger waits drained for a grow.
             with self.lock:
                 self.scheduler.resize(len(self._initial_machines))
+
+    def _await_hellos(self) -> None:
+        """The startup barrier, waited in short slices so that a worker
+        which exits before its hello fails the launch at once."""
+        deadline = time.monotonic() + self.startup_timeout
+        while not self.heartbeat.wait_all_up(0.05):
+            for machine_id in self._initial_machines:
+                exitcode = self._processes[machine_id].exitcode
+                if exitcode is not None:
+                    raise ClusterStartupError(
+                        f"worker {machine_id} exited with code {exitcode} "
+                        "before registering"
+                    )
+            if time.monotonic() >= deadline:
+                missing = [
+                    machine_id
+                    for machine_id in self._initial_machines
+                    if not self.heartbeat.is_up(machine_id)
+                ]
+                raise ClusterStartupError(
+                    f"workers never registered within {self.startup_timeout}s: "
+                    + ", ".join(missing)
+                )
+
+    def _abort_launch(self) -> None:
+        """Stop every spawned worker and the transport of a failed launch."""
+        for process in self._processes.values():
+            process.terminate()
+        for process in self._processes.values():
+            process.join(timeout=2.0)
+            if process.is_alive():
+                process.kill()
+                process.join()
+        self.transport.close()
 
     # ------------------------------------------------------------ membership
 
@@ -786,7 +816,9 @@ def run_cluster(
         so spawn time is not charged to ``spec.tmax``.
 
     Raises:
-        ClusterStartupError: a worker never said hello.
+        ClusterStartupError: a worker exited before its hello (raised
+            at once, with its exit code) or never said it within
+            ``startup_timeout``; no worker process outlives the call.
         RuntimeError: a driver thread failed to stop during shutdown.
     """
     if spec is None:

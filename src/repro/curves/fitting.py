@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from .models import CURVE_MODELS, CurveModel
 
@@ -371,6 +370,8 @@ def fit_model_reference(
     This is the oracle the fidelity tests hold the kernel against; no
     product path calls it.
     """
+    # The module attribute, so that a rebound ``fitting.optimize`` is used.
+    optimize = globals().get("optimize") or __getattr__("optimize")
     y_arr = _as_curve(y)
     x = np.arange(1, y_arr.size + 1, dtype=float)
     results = [
@@ -387,6 +388,18 @@ def fit_model_reference(
     return _best_of_starts(
         model, y_arr, ((r.x, r.fun, np.asarray(r.jac)) for r in results)
     )
+
+
+def __getattr__(name: str):
+    """``fitting.optimize`` is ``scipy.optimize``, imported on first use
+    (PEP 562) so that importing the product never loads scipy; once
+    resolved it is an ordinary module global, which callers may rebind."""
+    if name != "optimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import optimize
+
+    globals()["optimize"] = optimize
+    return optimize
 
 
 def _laplace_covariance(

@@ -18,8 +18,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import linalg
-from scipy.stats import norm
 
 from .base import ExhaustedSpaceError, HyperparameterGenerator
 from .space import SearchSpace
@@ -70,6 +68,10 @@ class GaussianProcess:
         self._y_mean = float(y.mean())
         self._y_std = float(y.std()) or 1.0
         y_norm = (y - self._y_mean) / self._y_std
+        # scipy is imported where it runs: a process that never fits a GP
+        # (every cluster worker, daemon and CLI call) never loads it.
+        from scipy import linalg
+
         k = self._kernel(x, x) + self.noise * np.eye(x.shape[0])
         self._chol = linalg.cholesky(k, lower=True)
         self._alpha = linalg.cho_solve((self._chol, True), y_norm)
@@ -79,6 +81,8 @@ class GaussianProcess:
         """Posterior mean and standard deviation at ``candidates``."""
         if self._x is None or self._chol is None or self._alpha is None:
             raise RuntimeError("GP must be fitted before prediction")
+        from scipy import linalg
+
         candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
         k_star = self._kernel(candidates, self._x)
         mean = k_star @ self._alpha
@@ -95,6 +99,8 @@ def expected_improvement(
     mean: np.ndarray, std: np.ndarray, best: float, xi: float = 0.01
 ) -> np.ndarray:
     """EI for maximisation: E[max(0, f - best - xi)] under N(mean, std^2)."""
+    from scipy.stats import norm
+
     std = np.maximum(np.asarray(std, dtype=float), 1e-12)
     z = (np.asarray(mean, dtype=float) - best - xi) / std
     return std * (z * norm.cdf(z) + norm.pdf(z))

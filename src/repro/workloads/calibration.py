@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Any, Hashable
+from typing import Any, Callable, Dict, Hashable, List, Sequence
 
 import numpy as np
 
@@ -48,20 +48,26 @@ def _reference_scores(
     n_reference: int,
     seed: int,
 ) -> np.ndarray:
-    """The sorted, read-only reference scores (memoised per process)."""
+    """The sorted, read-only reference scores (memoised per process).
+
+    The sample is computed under the lock, so threads that build the
+    same workload at once compute it once; the work holds the GIL
+    anyway, so no parallelism is lost.
+    """
     key = (score_fn, tuple(space.dimensions), n_reference, seed)
     with _REFERENCE_LOCK:
         scores = _REFERENCE_CACHE.get(key)
         if scores is not None:
             _REFERENCE_CACHE.move_to_end(key)
             return scores
-    rng = np.random.default_rng(seed)
-    scores = np.array([score_fn(space.sample(rng)) for _ in range(n_reference)])
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("score function produced non-finite values")
-    scores = np.sort(scores)
-    scores.setflags(write=False)
-    with _REFERENCE_LOCK:
+        rng = np.random.default_rng(seed)
+        configs = [space.sample(rng) for _ in range(n_reference)]
+        _prime_fnv_cache(configs)
+        scores = np.array([score_fn(config) for config in configs])
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("score function produced non-finite values")
+        scores = np.sort(scores)
+        scores.setflags(write=False)
         _REFERENCE_CACHE[key] = scores
         while len(_REFERENCE_CACHE) > _REFERENCE_CACHE_LIMIT:
             _REFERENCE_CACHE.popitem(last=False)
@@ -129,6 +135,35 @@ def _fnv_accumulate(encoded: str) -> int:
     for ch in encoded:
         acc = ((acc ^ ord(ch)) * _FNV_PRIME) & _U64_MASK
     return acc
+
+
+def _fnv_accumulate_many(keys: Sequence[str]) -> List[int]:
+    """:func:`_fnv_accumulate` of every key, in one ``uint64`` pass.
+
+    The keys' code points (lone surrogates included) are laid out as
+    rows of a zero-padded matrix; each column step updates only the rows
+    still inside their key, so every row is the scalar loop's value.
+    """
+    lengths = np.fromiter((len(key) for key in keys), dtype=np.intp, count=len(keys))
+    width = int(lengths.max(initial=0))
+    inside = np.arange(width) < lengths[:, None]
+    codes = np.zeros(inside.shape, dtype=np.uint64)
+    codes[inside] = np.frombuffer(
+        "".join(keys).encode("utf-32-le", "surrogatepass"), dtype="<u4"
+    )
+    acc = np.full(len(keys), _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for column in range(width):
+        acc = np.where(inside[:, column], (acc ^ codes[:, column]) * prime, acc)
+    return acc.tolist()
+
+
+def _prime_fnv_cache(configs: Sequence[Dict[str, Any]]) -> None:
+    """Fill :data:`_FNV_CACHE` for ``configs``, never past its bound, so
+    a score function's :func:`stable_config_seed` calls hit the memo."""
+    room = _FNV_CACHE_LIMIT - len(_FNV_CACHE)
+    keys = [config_key(config) for config in configs[:room]]
+    _FNV_CACHE.update(zip(keys, _fnv_accumulate_many(keys)))
 
 
 def config_key(config: Dict[str, Any]) -> str:

@@ -7,11 +7,15 @@ TCP transport with heartbeats running.
 
 from __future__ import annotations
 
+import multiprocessing
+import time
+
 import pytest
 
 from repro.analysis.experiments import standard_configs
 from repro.autoscale import ON_DEMAND, SPOT, FleetControl, FleetOptions
 from repro.cluster import (
+    ClusterStartupError,
     DropHeartbeats,
     FaultPlan,
     KillAtEpoch,
@@ -25,6 +29,7 @@ from repro.policies.bandit import BanditPolicy
 from repro.policies.default import DefaultPolicy
 from repro.registry import build_policy
 from repro.runtime.local import run_live
+from repro.workloads.cifar10 import Cifar10Workload
 
 N_CONFIGS = 6
 KILL_EPOCH = 7
@@ -361,3 +366,28 @@ def test_elastic_fleet_meters_cost_and_publishes_status(
     assert recorder.metrics.get("cost_spent_dollars").value(
         experiment="exp-e2e"
     ) == pytest.approx(summary["spent_dollars"], rel=1e-6)
+
+
+class _DiesInWorker(Cifar10Workload):
+    """Builds in the head; a spawned worker fails to unpickle it, so the
+    worker process exits before it can say hello."""
+
+    def __setstate__(self, state):
+        raise RuntimeError("this workload does not load in a worker")
+
+
+def test_worker_dying_before_its_hello_fails_the_launch_at_once(fast_predictor):
+    workload = _DiesInWorker()
+    before = set(multiprocessing.active_children())
+    started = time.monotonic()
+    with pytest.raises(ClusterStartupError, match="exited with code 1"):
+        run_cluster(
+            workload,
+            BanditPolicy(),
+            configs=standard_configs(workload, 2),
+            spec=make_spec(num_machines=2),
+            predictor=fast_predictor,
+            startup_timeout=60.0,
+        )
+    assert time.monotonic() - started < 30.0
+    assert set(multiprocessing.active_children()) <= before

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
+import threading
 from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.generators.space import SearchSpace, Uniform
-from repro.workloads import calibration
-from repro.workloads.calibration import QualityCalibrator
+from repro.workloads import calibration, cifar10
+from repro.workloads.calibration import QualityCalibrator, config_key
 from repro.workloads.cifar10 import Cifar10Workload, _score, cifar10_space
+from repro.workloads.lstm_sparsity import LSTMSparsityWorkload, lstm_space
+from repro.workloads.lunarlander import LunarLanderWorkload, lunarlander_space
 
 
 def test_workloads_share_one_read_only_reference():
@@ -67,3 +73,86 @@ def test_non_finite_scores_are_rejected_and_not_memoised(monkeypatch):
     with pytest.raises(ValueError, match="non-finite"):
         QualityCalibrator(space, lambda config: float("nan"), n_reference=20)
     assert not calibration._REFERENCE_CACHE
+
+
+def test_two_threads_building_one_workload_score_its_sample_once(monkeypatch):
+    monkeypatch.setattr(calibration, "_REFERENCE_CACHE", OrderedDict())
+    calls = []
+
+    def counting_score(config):
+        calls.append(None)
+        return _score(config)
+
+    monkeypatch.setattr(cifar10, "_score", counting_score)
+    start = threading.Barrier(2)
+    built = []
+
+    def build():
+        start.wait()
+        built.append(Cifar10Workload())
+
+    threads = [threading.Thread(target=build) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(calls) == 4000
+    assert built[0]._calibrator._sorted_scores is built[1]._calibrator._sorted_scores
+
+
+# Every code point a key may hold: ASCII, the BMP, astral planes and
+# lone surrogates (which ``characters()`` leaves out by default).
+_ANY_CODE_POINT = st.characters(exclude_categories=())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet=_ANY_CODE_POINT, max_size=40), max_size=8))
+def test_batched_fnv_equals_the_scalar_loop(keys):
+    assert calibration._fnv_accumulate_many(keys) == [
+        calibration._fnv_accumulate(key) for key in keys
+    ]
+
+
+@pytest.mark.parametrize(
+    "space, seed",
+    [(cifar10_space, 20170711), (lunarlander_space, 20170712), (lstm_space, 20170713)],
+)
+def test_batched_fnv_equals_the_scalar_loop_on_every_reference_key(space, seed):
+    space = space()
+    rng = np.random.default_rng(seed)
+    keys = [config_key(space.sample(rng)) for _ in range(4000)]
+    assert calibration._fnv_accumulate_many(keys) == [
+        calibration._fnv_accumulate(key) for key in keys
+    ]
+
+
+#: blake2b-128 of each workload's ``_sorted_scores`` bytes, computed with
+#: the scalar FNV loop alone: the batched pass must not move a quantile.
+_REFERENCE_DIGESTS = {
+    Cifar10Workload: "958fa487f9d78df2ed87bc46ab35785f",
+    LunarLanderWorkload: "0e274f28ff0d1c71b519c821b8c871be",
+    LSTMSparsityWorkload: "96ce04df1c94a581239a1b081b4801bf",
+}
+
+
+@pytest.mark.parametrize("workload", list(_REFERENCE_DIGESTS), ids=lambda w: w.__name__)
+def test_reference_scores_are_byte_identical(workload, monkeypatch):
+    monkeypatch.setattr(calibration, "_REFERENCE_CACHE", OrderedDict())
+    monkeypatch.setattr(calibration, "_FNV_CACHE", {})
+    scores = workload()._calibrator._sorted_scores
+    digest = hashlib.blake2b(scores.tobytes(), digest_size=16).hexdigest()
+    assert digest == _REFERENCE_DIGESTS[workload]
+
+
+@pytest.mark.parametrize("prefilled", [0, 7, 10])
+def test_priming_never_grows_the_fnv_memo_past_its_bound(prefilled, monkeypatch):
+    monkeypatch.setattr(calibration, "_FNV_CACHE_LIMIT", 10)
+    memo = {f"k{i}": i for i in range(prefilled)}
+    monkeypatch.setattr(calibration, "_FNV_CACHE", memo)
+    rng = np.random.default_rng(0)
+    configs = [cifar10_space().sample(rng) for _ in range(25)]
+    calibration._prime_fnv_cache(configs)
+    assert len(memo) == 10
+    for key, acc in memo.items():
+        if not key.startswith("k"):
+            assert acc == calibration._fnv_accumulate(key)
