@@ -19,8 +19,8 @@ Service (see ``docs/service.md``)::
 Exit codes:
 
 * ``0`` — success.
-* ``2`` — usage error (bad flags/arguments; raised by argparse) or an
-  invalid output path.
+* ``2`` — usage error: bad flags (argparse), a value rejected before
+  any work starts, or an output path whose directory does not exist.
 * ``3`` — runtime failure (the command raised: missing input file,
   unreachable daemon, experiment execution error, ...).
 * ``4`` — the awaited experiment ended in a non-completed status
@@ -34,6 +34,9 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
+from pathlib import Path
 
 from . import registry
 from .framework.experiment import ExperimentSpec
@@ -55,11 +58,11 @@ DEFAULT_SERVICE_URL = "http://127.0.0.1:8765"
 
 
 def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
-    """Flags shared by ``run`` (local) and ``submit`` (service)."""
+    """The :class:`~repro.service.submission.Submission` flags shared by
+    ``run``, ``cluster-demo`` (local) and ``submit`` (service)."""
     parser.add_argument("--workload", choices=WORKLOADS, default="cifar10")
     parser.add_argument("--policy", choices=POLICIES, default="pop")
     parser.add_argument("--generator", choices=GENERATORS, default="random")
-    parser.add_argument("--machines", type=int, default=None)
     parser.add_argument("--configs", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--gen-seed", type=int, default=None)
@@ -69,11 +72,49 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-stop-on-target", action="store_true",
         help="run every configuration to completion",
     )
+    parser.add_argument("--time-scale", type=float, default=1e-3)
+
+
+def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
+    """``run`` and ``submit`` choose the runtime and its machine count
+    (``cluster-demo`` sizes its fleet with ``--workers``)."""
+    parser.add_argument("--machines", type=int, default=None)
     parser.add_argument(
         "--live", action="store_true",
         help="use the live threaded runtime instead of simulation",
     )
-    parser.add_argument("--time-scale", type=float, default=1e-3)
+
+
+def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
+    """Output flags of the local experiment verbs (``run``,
+    ``cluster-demo``)."""
+    parser.add_argument(
+        "--json", action="store_true",
+        help="print the machine-readable result dict as JSON on stdout "
+             "(the human summary moves to stderr)",
+    )
+    parser.add_argument(
+        "--save-result", metavar="PATH", default=None,
+        help="archive the full result as JSON",
+    )
+    parser.add_argument(
+        "--emit-events", metavar="PATH", default=None,
+        help="stream the decision audit trail (SAP decisions with the "
+             "confidence/ERT/threshold inputs behind them, POP "
+             "classifications, lifecycle; on the cluster also membership "
+             "transitions and migrations) as JSONL",
+    )
+    parser.add_argument(
+        "--metrics-out", metavar="PATH", default=None,
+        help="write the metrics registry as Prometheus-style text",
+    )
+    parser.add_argument(
+        "--trace", action="store_true",
+        help="keep spans (curve fits, process_epoch, snapshots) and "
+             "print a per-operation timing summary; on the cluster, "
+             "trace ids propagate head->worker->head and --emit-events "
+             "journals every span for repro diagnose",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,30 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run one exploration experiment")
     _add_experiment_arguments(run_parser)
-    run_parser.add_argument(
-        "--json", action="store_true",
-        help="print the machine-readable result dict as JSON on stdout "
-             "(the human summary moves to stderr)",
-    )
-    run_parser.add_argument(
-        "--save-result", metavar="PATH", default=None,
-        help="archive the full result as JSON",
-    )
-    run_parser.add_argument(
-        "--emit-events", metavar="PATH", default=None,
-        help="stream the decision audit trail (SAP decisions with the "
-             "confidence/ERT/threshold inputs behind them, POP "
-             "classifications, lifecycle) as JSONL",
-    )
-    run_parser.add_argument(
-        "--metrics-out", metavar="PATH", default=None,
-        help="write the metrics registry as Prometheus-style text",
-    )
-    run_parser.add_argument(
-        "--trace", action="store_true",
-        help="keep spans (curve fits, process_epoch, snapshots) and "
-             "print a per-operation timing summary",
-    )
+    _add_runtime_arguments(run_parser)
+    _add_output_arguments(run_parser)
 
     trace_parser = sub.add_parser("record-trace", help="record a replayable trace")
     trace_parser.add_argument("--workload", choices=WORKLOADS, default="cifar10")
@@ -204,23 +223,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run one experiment on the multi-process cluster runtime, "
              "optionally injecting deterministic faults",
     )
-    cluster_parser.add_argument("--workload", choices=WORKLOADS, default="cifar10")
-    cluster_parser.add_argument("--policy", choices=POLICIES, default="pop")
-    cluster_parser.add_argument("--generator", choices=GENERATORS, default="random")
+    _add_experiment_arguments(cluster_parser)
+    _add_output_arguments(cluster_parser)
+    cluster_parser.set_defaults(configs=12, time_scale=1e-4)
     cluster_parser.add_argument(
         "--workers", type=int, default=3,
         help="worker processes (= cluster machines)",
     )
-    cluster_parser.add_argument("--configs", type=int, default=12)
-    cluster_parser.add_argument("--seed", type=int, default=0)
-    cluster_parser.add_argument("--gen-seed", type=int, default=None)
-    cluster_parser.add_argument("--target", type=float, default=None)
-    cluster_parser.add_argument("--tmax-hours", type=float, default=48.0)
-    cluster_parser.add_argument(
-        "--no-stop-on-target", action="store_true",
-        help="run every configuration to completion",
-    )
-    cluster_parser.add_argument("--time-scale", type=float, default=1e-4)
     cluster_parser.add_argument(
         "--checkpoint-every", type=int, default=3,
         help="epochs between periodic snapshots (bounds work a failure "
@@ -283,29 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--delay-send", action="append", default=[],
         metavar="MACHINE@seconds:S[,after:N]",
         help="delay every worker->head frame by S seconds; repeatable",
-    )
-    cluster_parser.add_argument(
-        "--json", action="store_true",
-        help="print the machine-readable result dict as JSON on stdout",
-    )
-    cluster_parser.add_argument(
-        "--emit-events", metavar="PATH", default=None,
-        help="stream the audit trail (incl. cluster membership "
-             "transitions and migrations) as JSONL",
-    )
-    cluster_parser.add_argument(
-        "--metrics-out", metavar="PATH", default=None,
-        help="write the metrics registry as Prometheus-style text",
-    )
-    cluster_parser.add_argument(
-        "--save-result", metavar="PATH", default=None,
-        help="archive the full result as JSON",
-    )
-    cluster_parser.add_argument(
-        "--trace", action="store_true",
-        help="keep spans and propagate trace ids head->worker->head; "
-             "with --emit-events the journal carries every span "
-             "(including worker-shipped ones) for repro diagnose",
     )
     cluster_parser.add_argument(
         "--telemetry-out", metavar="PATH", default=None,
@@ -446,6 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "submit", help="submit an experiment to a running daemon"
     )
     _add_experiment_arguments(submit_parser)
+    _add_runtime_arguments(submit_parser)
     submit_parser.add_argument("--url", default=DEFAULT_SERVICE_URL)
     submit_parser.add_argument(
         "--checkpoint-every", type=int, default=25,
@@ -548,14 +535,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_gen_seed(workload_name: str) -> int:
-    return registry.default_gen_seed(workload_name)
-
-
-def _default_machines(workload_name: str) -> int:
-    return registry.default_machines(workload_name)
-
-
 def _print_result(result, file=None) -> None:
     out = sys.stdout if file is None else file
     summary = result.summary()
@@ -602,66 +581,69 @@ def _print_span_summary(recorder, file=None) -> None:
         )
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+class _UsageError(Exception):
+    """Bad arguments caught after parsing; ``main`` exits 2 on it."""
+
+
+#: Every output-file flag of the local verbs.
+_OUTPUT_FLAGS = (
+    "emit_events", "metrics_out", "telemetry_out", "cost_out", "save_result",
+)
+
+
+@contextmanager
+def _recording(args: argparse.Namespace):
+    """The Recorder a local verb's output flags ask for (None when none
+    does), closed on exit after ``--metrics-out`` is written.
+
+    Every output path's directory must already exist: the exporters open
+    their files lazily, which would otherwise fail minutes into a run.
+    """
+    for flag in _OUTPUT_FLAGS:
+        path = getattr(args, flag, None)
+        if path and not Path(path).parent.is_dir():
+            raise _UsageError(f"output directory does not exist: {path}")
+    emit_events = getattr(args, "emit_events", None)
+    metrics_out = getattr(args, "metrics_out", None)
+    trace = getattr(args, "trace", False)
+    if not (emit_events or metrics_out or trace
+            or getattr(args, "telemetry_out", None)):
+        yield None
+        return
+    from .observability import JsonlExporter, Recorder
+
+    exporter = JsonlExporter(emit_events) if emit_events else None
+    recorder = Recorder(exporter=exporter, trace=trace)
+    try:
+        yield recorder
+    finally:
+        if metrics_out:
+            Path(metrics_out).write_text(recorder.metrics.render_text())
+        recorder.close()
+
+
+def _run_and_report(args: argparse.Namespace, execute, report=None) -> int:
+    """Shared body of ``run`` and ``cluster-demo``: build the experiment
+    ``submit`` would send, run it through ``execute`` and report."""
     # In --json mode stdout carries exactly one JSON document (the
     # result dict); everything human-readable goes to stderr.
     info = sys.stderr if args.json else sys.stdout
-    workload = registry.build_workload(args.workload)
-    policy = registry.build_policy(args.policy)
-    gen_seed = args.gen_seed
-    if gen_seed is None:
-        gen_seed = registry.default_gen_seed(args.workload)
-    machines = args.machines or registry.default_machines(args.workload)
-    generator = registry.build_generator(
-        args.generator, workload, max_configs=args.configs, gen_seed=gen_seed
-    )
-    spec = ExperimentSpec(
-        num_machines=machines,
-        num_configs=args.configs,
-        seed=args.seed,
-        target=args.target,
-        tmax=args.tmax_hours * 3600.0,
-        stop_on_target=not args.no_stop_on_target,
-    )
-    recorder = None
-    if args.emit_events or args.metrics_out or args.trace:
-        from pathlib import Path
-
-        from .observability import JsonlExporter, Recorder
-
-        # Fail fast on unwritable output paths — the exporter opens its
-        # file lazily, which would otherwise crash minutes into the run.
-        for out_path in (args.emit_events, args.metrics_out):
-            if out_path and not Path(out_path).parent.is_dir():
-                print(
-                    f"error: output directory does not exist: {out_path}",
-                    file=sys.stderr,
-                )
-                return 2
-        exporter = JsonlExporter(args.emit_events) if args.emit_events else None
-        recorder = Recorder(exporter=exporter, trace=args.trace)
-    try:
-        if args.live:
-            from .runtime.local import run_live
-
-            result = run_live(
-                workload, policy, generator=generator, spec=spec,
-                time_scale=args.time_scale, recorder=recorder,
-            )
-        else:
-            result = run_simulation(
-                workload, policy, generator=generator, spec=spec,
-                recorder=recorder,
-            )
-    finally:
-        if recorder is not None:
-            recorder.close()
+    submission = _submission_from_args(args)
+    with _recording(args) as recorder:
+        workload = submission.build_workload()
+        result = execute(
+            workload,
+            submission.build_policy(),
+            generator=submission.build_generator(workload),
+            spec=submission.build_spec(),
+            recorder=recorder,
+        )
     _print_result(result, file=info)
-    if recorder is not None and args.trace:
+    if report is not None:
+        report(result, info)
+    if args.trace:
         _print_span_summary(recorder, file=info)
     if args.metrics_out:
-        with open(args.metrics_out, "w") as handle:
-            handle.write(recorder.metrics.render_text())
         print(f"metrics written -> {args.metrics_out}", file=info)
     if args.emit_events:
         print(
@@ -679,6 +661,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_run(args: argparse.Namespace) -> int:
+    def execute(workload, policy, **kwargs):
+        if args.live:
+            from .runtime.local import run_live
+
+            return run_live(
+                workload, policy, time_scale=args.time_scale, **kwargs
+            )
+        return run_simulation(workload, policy, **kwargs)
+
+    return _run_and_report(args, execute)
+
+
 def _parse_autoscale(value):
     """Parse ``"MIN:MAX"`` into an ``(int, int)`` bounds tuple."""
     if value is None:
@@ -687,11 +682,11 @@ def _parse_autoscale(value):
         lo_text, hi_text = value.split(":", 1)
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
-        raise ValueError(
+        raise _UsageError(
             f"--autoscale expects MIN:MAX (got {value!r})"
         ) from None
     if lo < 1 or hi < lo:
-        raise ValueError("--autoscale bounds must satisfy 1 <= MIN <= MAX")
+        raise _UsageError("--autoscale bounds must satisfy 1 <= MIN <= MAX")
     return lo, hi
 
 
@@ -702,35 +697,22 @@ def _cmd_cluster_demo(args: argparse.Namespace) -> int:
     snapshot migration: ``--kill machine-01@epoch:3`` SIGKILLs a worker
     mid-run and the experiment still completes on the survivors.
     """
-    from pathlib import Path
-
     from .cluster import FaultPlan, run_cluster
-    from .observability import JsonlExporter, Recorder
 
-    info = sys.stderr if args.json else sys.stdout
     if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    for out_path in (args.emit_events, args.metrics_out, args.telemetry_out):
-        if out_path and not Path(out_path).parent.is_dir():
-            print(f"error: output directory does not exist: {out_path}",
-                  file=sys.stderr)
-            return 2
+        raise _UsageError("--workers must be >= 1")
+    autoscale = _parse_autoscale(args.autoscale)
+    if autoscale is not None and autoscale[1] != args.workers:
+        raise _UsageError(
+            "--autoscale MAX must equal --workers "
+            f"({autoscale[1]} != {args.workers})"
+        )
     fault_plan = FaultPlan.parse(
         kill=args.kill,
         drop_heartbeats=args.drop_heartbeats,
         delay_send=args.delay_send,
         revoke=args.revoke,
     )
-    try:
-        autoscale = _parse_autoscale(args.autoscale)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if autoscale is not None and autoscale[1] != args.workers:
-        print("error: --autoscale MAX must equal --workers "
-              f"({autoscale[1]} != {args.workers})", file=sys.stderr)
-        return 2
     fleet = None
     if (autoscale is not None or args.spot_fraction > 0.0
             or args.revoke or args.budget_slot_hours is not None
@@ -744,75 +726,41 @@ def _cmd_cluster_demo(args: argparse.Namespace) -> int:
             budget_slot_hours=args.budget_slot_hours,
             cost_path=args.cost_out,
         )
-    workload = registry.build_workload(args.workload)
-    policy = registry.build_policy(args.policy)
-    if hasattr(policy, "configure_budget"):
-        policy.configure_budget(args.budget_slot_hours)
-    gen_seed = args.gen_seed
-    if gen_seed is None:
-        gen_seed = registry.default_gen_seed(args.workload)
-    generator = registry.build_generator(
-        args.generator, workload, max_configs=args.configs, gen_seed=gen_seed
-    )
-    spec = ExperimentSpec(
-        num_machines=args.workers,
-        num_configs=args.configs,
-        seed=args.seed,
-        target=args.target,
-        tmax=args.tmax_hours * 3600.0,
-        stop_on_target=not args.no_stop_on_target,
-        checkpoint_interval=args.checkpoint_every,
-    )
-    exporter = JsonlExporter(args.emit_events) if args.emit_events else None
-    recorder = Recorder(exporter=exporter, trace=args.trace)
     aggregator = None
     if args.telemetry_out:
         from .observability import TelemetryAggregator
 
         aggregator = TelemetryAggregator()
-    try:
-        result = run_cluster(
-            workload, policy, generator=generator, spec=spec,
-            time_scale=args.time_scale, fault_plan=fault_plan,
-            recorder=recorder,
+
+    def execute(workload, policy, spec, **kwargs):
+        return run_cluster(
+            workload, policy,
+            spec=replace(
+                spec,
+                num_machines=args.workers,
+                checkpoint_interval=args.checkpoint_every,
+            ),
+            time_scale=args.time_scale,
+            fault_plan=fault_plan,
             heartbeat_interval=args.heartbeat_interval,
             miss_threshold=args.miss_threshold,
             retry_budget=args.retry_budget,
             aggregator=aggregator,
             fleet=fleet,
+            **kwargs,
         )
-    finally:
-        recorder.close()
-    _print_result(result, file=info)
-    print(f"machine failures: {result.machine_failures}", file=info)
-    print(f"epochs lost     : {result.epochs_lost_to_failures}", file=info)
-    if args.trace:
-        _print_span_summary(recorder, file=info)
-    if args.metrics_out:
-        with open(args.metrics_out, "w") as handle:
-            handle.write(recorder.metrics.render_text())
-        print(f"metrics written -> {args.metrics_out}", file=info)
-    if args.telemetry_out:
-        with open(args.telemetry_out, "w") as handle:
-            handle.write(aggregator.render_text())
-        print(f"telemetry       -> {args.telemetry_out} "
-              f"({len(aggregator.node_ids)} nodes)", file=info)
-    if args.emit_events:
-        print(
-            f"audit trail     -> {args.emit_events} "
-            f"({recorder.exporter.events_written} events)",
-            file=info,
-        )
-    if args.cost_out:
-        print(f"cost audit      -> {args.cost_out}", file=info)
-    if args.save_result:
-        result.save_json(args.save_result)
-        print(f"result archived -> {args.save_result}", file=info)
-    if args.json:
-        from .observability.exporters import encode_event
 
-        print(encode_event(result.to_dict()))
-    return 0
+    def report(result, info) -> None:
+        print(f"machine failures: {result.machine_failures}", file=info)
+        print(f"epochs lost     : {result.epochs_lost_to_failures}", file=info)
+        if args.telemetry_out:
+            Path(args.telemetry_out).write_text(aggregator.render_text())
+            print(f"telemetry       -> {args.telemetry_out} "
+                  f"({len(aggregator.node_ids)} nodes)", file=info)
+        if args.cost_out:
+            print(f"cost audit      -> {args.cost_out}", file=info)
+
+    return _run_and_report(args, execute, report)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -864,22 +812,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_policy(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .learn.trainer import TrainerConfig, train_policy
 
     info = sys.stderr if args.json else sys.stdout
-    for out_path in (args.out, args.emit_events, args.metrics_out):
-        if out_path and not Path(out_path).parent.is_dir():
-            # The artifact writer creates directories, but exporters
-            # open lazily — fail fast on both for symmetry.
-            Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    recorder = None
-    if args.emit_events or args.metrics_out:
-        from .observability import JsonlExporter, Recorder
-
-        exporter = JsonlExporter(args.emit_events) if args.emit_events else None
-        recorder = Recorder(exporter=exporter)
     config = TrainerConfig(
         episodes=args.episodes,
         seed=args.seed,
@@ -906,14 +841,12 @@ def _cmd_train_policy(args: argparse.Namespace) -> int:
                 file=info,
             )
 
-    kwargs = {"recorder": recorder} if recorder is not None else {}
-    summary = train_policy(
-        config, artifact_path=args.out, progress=_progress, **kwargs
-    )
-    if recorder is not None and args.metrics_out:
-        Path(args.metrics_out).write_text(recorder.metrics.render_text())
-    if recorder is not None:
-        recorder.close()
+    # The artifact writer creates --out's directories itself.
+    with _recording(args) as recorder:
+        kwargs = {"recorder": recorder} if recorder is not None else {}
+        summary = train_policy(
+            config, artifact_path=args.out, progress=_progress, **kwargs
+        )
     rewards = summary["rewards"]
     tail = rewards[-max(1, len(rewards) // 4):]
     print(
@@ -979,32 +912,9 @@ def _sweep_spec_from_args(args: argparse.Namespace):
     return spec
 
 
-def _sweep_recorder(args: argparse.Namespace):
-    """An observability recorder for sweep commands (None if unused)."""
-    emit_events = getattr(args, "emit_events", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    if not emit_events and not metrics_out:
-        return None
-    from pathlib import Path
-
-    from .observability import JsonlExporter, Recorder
-
-    for out_path in (emit_events, metrics_out):
-        if out_path and not Path(out_path).parent.is_dir():
-            raise ValueError(f"output directory does not exist: {out_path}")
-    exporter = JsonlExporter(emit_events) if emit_events else None
-    return Recorder(exporter=exporter)
-
-
 def _sweep_execute(args: argparse.Namespace, spec) -> int:
     """Shared body of ``sweep run`` and ``sweep resume``."""
     from .lab import CellStore, StudyRunner
-
-    recorder = _sweep_recorder(args)
-    store = CellStore(args.out)
-    runner = StudyRunner(
-        spec, store, recorder=recorder, max_workers=args.max_workers
-    )
 
     def on_cell(progress) -> None:
         print(
@@ -1014,15 +924,13 @@ def _sweep_execute(args: argparse.Namespace, spec) -> int:
         )
         sys.stderr.flush()
 
-    try:
+    with _recording(args) as recorder:
+        store = CellStore(args.out)
+        runner = StudyRunner(
+            spec, store, recorder=recorder, max_workers=args.max_workers
+        )
         runner.run(on_cell=on_cell)
         markdown = runner.write_report()
-    finally:
-        if recorder is not None:
-            if args.metrics_out:
-                with open(args.metrics_out, "w") as handle:
-                    handle.write(recorder.metrics.render_text())
-            recorder.close()
     print(markdown, end="")
     print(f"report         -> {store.report_md_path}", file=sys.stderr)
     print(f"report (json)  -> {store.report_json_path}", file=sys.stderr)
@@ -1123,14 +1031,14 @@ def _submission_from_args(args: argparse.Namespace):
         workload=args.workload,
         policy=args.policy,
         generator=args.generator,
-        machines=args.machines,
+        machines=getattr(args, "machines", None),
         configs=args.configs,
         seed=args.seed,
         gen_seed=args.gen_seed,
         target=args.target,
         tmax_hours=args.tmax_hours,
         stop_on_target=not args.no_stop_on_target,
-        live=args.live,
+        live=getattr(args, "live", False),
         time_scale=args.time_scale,
         checkpoint_every=getattr(args, "checkpoint_every", 25),
         tenant=getattr(args, "tenant", "default"),
@@ -1160,39 +1068,27 @@ def _record_line(record: dict) -> str:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.daemon import ExperimentService
 
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.cluster_workers is not None and args.cluster_workers < 1:
-        print("error: --cluster-workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.slots is not None and args.slots < 1:
-        print("error: --slots must be >= 1", file=sys.stderr)
-        return 2
+    autoscale = _parse_autoscale(args.autoscale)
     try:
-        autoscale = _parse_autoscale(args.autoscale)
+        # Validates its arguments before it creates the run store.
+        service = ExperimentService(
+            root=args.root,
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            resume_interrupted=args.resume_interrupted,
+            cluster_workers=args.cluster_workers,
+            slots=args.slots,
+            tenant_quotas=args.tenant_quotas,
+            max_queue_depth=args.max_queue_depth,
+            rate_limit=args.rate_limit,
+            rate_burst=args.rate_burst,
+            autoscale=autoscale,
+            spot_fraction=args.spot_fraction,
+            spot_rate=args.spot_rate,
+        )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not 0.0 <= args.spot_fraction <= 1.0:
-        print("error: --spot-fraction must be in [0, 1]", file=sys.stderr)
-        return 2
-    service = ExperimentService(
-        root=args.root,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        resume_interrupted=args.resume_interrupted,
-        cluster_workers=args.cluster_workers,
-        slots=args.slots,
-        tenant_quotas=args.tenant_quotas,
-        max_queue_depth=args.max_queue_depth,
-        rate_limit=args.rate_limit,
-        rate_burst=args.rate_burst,
-        autoscale=autoscale,
-        spot_fraction=args.spot_fraction,
-        spot_rate=args.spot_rate,
-    )
+        raise _UsageError(exc) from None
     service.start()
     service.install_signal_handlers()
     print(f"experiment service listening on {service.url}")
@@ -1403,6 +1299,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130

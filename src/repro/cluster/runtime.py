@@ -85,7 +85,6 @@ class _ClusterExperiment(ThreadedExperiment):
         heartbeat_interval: float = 0.1,
         miss_threshold: int = 3,
         retry_budget: int = 3,
-        rpc_timeout: float = 60.0,
         startup_timeout: float = 30.0,
         aggregator: Optional[TelemetryAggregator] = None,
         telemetry_interval: float = 0.25,
@@ -105,8 +104,7 @@ class _ClusterExperiment(ThreadedExperiment):
             spec,
             time_scale,
             agent_factory=lambda machine_id, **_ignored: RemoteAgent(
-                machine_id, self.transport, rpc_timeout=rpc_timeout,
-                clock=self._clock,
+                machine_id, self.transport, clock=self._clock,
             ),
             bus=self.transport,
             **common,
@@ -758,9 +756,8 @@ def run_cluster(
     heartbeat_interval: float = 0.1,
     miss_threshold: int = 3,
     retry_budget: int = 3,
-    rpc_timeout: float = 60.0,
     startup_timeout: float = 30.0,
-    cancel_event: Optional[threading.Event] = None,
+    stop_check: Optional[Callable[[], bool]] = None,
     progress_hook: Optional[Callable] = None,
     progress_every_epochs: int = 50,
     setup_hook: Optional[Callable] = None,
@@ -791,9 +788,8 @@ def run_cluster(
             is declared dead.
         retry_budget: migrations allowed per job before it is
             terminated instead of rescheduled.
-        rpc_timeout: seconds before one head→worker call fails.
         startup_timeout: seconds to wait for the fleet to register.
-        cancel_event / progress_hook / progress_every_epochs /
+        stop_check / progress_hook / progress_every_epochs /
             setup_hook: as in :func:`repro.runtime.local.run_live`.
         aggregator: telemetry sink merging per-node registries shipped
             by the workers; auto-created whenever a real recorder is
@@ -847,9 +843,8 @@ def run_cluster(
         heartbeat_interval=heartbeat_interval,
         miss_threshold=miss_threshold,
         retry_budget=retry_budget,
-        rpc_timeout=rpc_timeout,
         startup_timeout=startup_timeout,
-        cancel_event=cancel_event,
+        stop_check=stop_check,
         progress_hook=progress_hook,
         progress_every_epochs=progress_every_epochs,
         setup_hook=setup_hook,

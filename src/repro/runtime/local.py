@@ -110,7 +110,7 @@ class ThreadedExperiment:
         time_scale: float,
         predictor: Optional[CurvePredictor] = None,
         recorder=None,
-        cancel_event: Optional[threading.Event] = None,
+        stop_check: Optional[Callable[[], bool]] = None,
         progress_hook: Optional[Callable] = None,
         progress_every_epochs: int = 50,
         setup_hook: Optional[Callable] = None,
@@ -119,7 +119,7 @@ class ThreadedExperiment:
     ) -> None:
         self.spec = spec
         self.time_scale = time_scale
-        self.cancel_event = cancel_event
+        self.stop_check = stop_check
         self.progress_hook = progress_hook
         self.progress_every_epochs = progress_every_epochs
         self.setup_hook = setup_hook
@@ -321,7 +321,7 @@ class ThreadedExperiment:
         last_progress = 0
         while not self.stop_event.is_set() and time.monotonic() < deadline:
             time.sleep(0.02)
-            if self.cancel_event is not None and self.cancel_event.is_set():
+            if self.stop_check is not None and self.stop_check():
                 return
             if self.recorder.enabled:
                 self.bus.export_metrics(self.recorder.metrics)
@@ -379,7 +379,7 @@ def run_live(
     configs: Optional[Sequence[Dict[str, Any]]] = None,
     time_scale: float = 1e-3,
     recorder=None,
-    cancel_event: Optional[threading.Event] = None,
+    stop_check: Optional[Callable[[], bool]] = None,
     progress_hook: Optional[Callable] = None,
     progress_every_epochs: int = 50,
     setup_hook: Optional[Callable] = None,
@@ -398,9 +398,10 @@ def run_live(
         recorder: observability facade
             (:class:`~repro.observability.Recorder`); None disables
             instrumentation at zero cost.
-        cancel_event: external cancellation signal; setting it stops
-            the run promptly (in-flight epochs are discarded) and
-            returns the partial result.
+        stop_check: external cancellation probe, as in
+            :func:`~repro.sim.runner.run_simulation`: the monitor calls
+            it every 20 ms round, and True stops the run promptly
+            (in-flight epochs are discarded) with the partial result.
         progress_hook: called with the scheduler (under the lock)
             roughly every ``progress_every_epochs`` trained epochs.
         progress_every_epochs: epoch granularity of ``progress_hook``.
@@ -430,7 +431,7 @@ def run_live(
         time_scale=time_scale,
         predictor=predictor if predictor is not None else default_predictor(),
         recorder=recorder,
-        cancel_event=cancel_event,
+        stop_check=stop_check,
         progress_hook=progress_hook,
         progress_every_epochs=progress_every_epochs,
         setup_hook=setup_hook,

@@ -1,7 +1,8 @@
 """Execute and resume stored experiments.
 
-``execute`` drives one experiment from the run store through either
-runtime, wiring three service concerns into the run:
+``execute`` drives one experiment from the run store through the
+simulator, the live runtime or the cluster runtime — one call with one
+set of hooks — wiring these service concerns into the run:
 
 * **Journal**: the run's audit trail streams into the store journal
   through a :class:`~repro.service.store.JournalExporter`; the minted
@@ -10,10 +11,12 @@ runtime, wiring three service concerns into the run:
   :meth:`~repro.framework.scheduler.HyperDriveScheduler.checkpoint_state`
   is persisted — progress for ``repro status``/``watch`` and the
   bookkeeping ``repro resume`` validates against.
-* **Cancellation**: the executor polls the store's ``cancel_requested``
-  flag (sim: inside the event loop's stop-check; live: a monitor
-  thread that sets the runtime's cancel event) and records a partial
-  result under the CANCELLED status.
+* **Cancellation**: every runtime takes the same ``stop_check``.  It
+  reads broker preemption on every call and the store's
+  ``cancel_requested`` flag at most once per ``poll_wall_seconds``; the
+  simulator calls it between events, the threaded runtimes once per
+  monitor round.  A cancelled run's partial result is recorded under
+  the CANCELLED status.
 * **Telemetry**: when the caller owns a
   :class:`~repro.observability.aggregator.TelemetryAggregator` (the
   daemon does), the run's registry is ingested under the experiment id
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
+from dataclasses import replace
 from typing import Any, Callable, Dict, Optional
 
 from ..observability import Recorder
@@ -282,11 +285,6 @@ def _run(
     workload = submission.build_workload()
     policy = submission.build_policy()
     spec = submission.build_spec()
-    if hasattr(policy, "configure_budget"):
-        # Budget-aware policies (pop-budget) spend against the
-        # submission's slot-hour budget; without one they fall back to
-        # their own default at begin().
-        policy.configure_budget(submission.budget_slot_hours)
 
     # Live submissions may be offloaded to the multi-process cluster
     # runtime; simulator submissions always run in-process, so the
@@ -335,27 +333,44 @@ def _run(
         if on_checkpoint is not None:
             on_checkpoint(state)
 
-    setup_hook = control.setup if control is not None else None
+    poll = {"next": 0.0, "cancelled": False}
 
+    def stop_check() -> bool:
+        if control is not None and control.preempted.is_set():
+            return True
+        now = time.monotonic()
+        if now >= poll["next"]:
+            poll["next"] = now + poll_wall_seconds
+            poll["cancelled"] = store.cancel_requested(exp_id)
+        return poll["cancelled"]
+
+    # Every runtime takes the same hooks: they differ only in what
+    # executes an epoch (§7).
+    hooks = dict(
+        configs=configs,
+        recorder=recorder,
+        stop_check=stop_check,
+        progress_hook=checkpoint_hook,
+        progress_every_epochs=submission.checkpoint_every,
+        setup_hook=control.setup if control is not None else None,
+    )
     try:
         if use_cluster:
-            result = _run_cluster(
-                store, exp_id, submission, workload, policy, spec, configs,
-                recorder, checkpoint_hook, poll_wall_seconds, cluster_workers,
-                aggregator, control, setup_hook, fleet, fleet_control,
+            from ..cluster.runtime import run_cluster as runtime
+
+            options = _cluster_options(
+                exp_id, submission, spec, cluster_workers, aggregator,
+                fleet, fleet_control,
             )
         elif submission.live:
-            result = _run_live(
-                store, exp_id, submission, workload, policy, spec, configs,
-                recorder, checkpoint_hook, poll_wall_seconds, control,
-                setup_hook,
-            )
+            from ..runtime.local import run_live as runtime
+
+            options = {"spec": spec, "time_scale": submission.time_scale}
         else:
-            result = _run_sim(
-                store, exp_id, submission, workload, policy, spec, configs,
-                recorder, checkpoint_hook, poll_wall_seconds, control,
-                setup_hook,
-            )
+            from ..sim.runner import run_simulation as runtime
+
+            options = {"spec": spec}
+        result = runtime(workload, policy, **options, **hooks)
     except Exception as exc:
         if control is not None:
             control.release(FAILED)
@@ -387,111 +402,20 @@ def _run(
     return final
 
 
-def _run_sim(
-    store, exp_id, submission, workload, policy, spec, configs,
-    recorder, checkpoint_hook, poll_wall_seconds, control=None,
-    setup_hook=None,
-):
-    from ..sim.runner import run_simulation
-
-    state = {"next_poll": 0.0, "cancelled": False}
-
-    def stop_check() -> bool:
-        if control is not None and control.preempted.is_set():
-            return True
-        now = time.monotonic()
-        if now >= state["next_poll"]:
-            state["next_poll"] = now + poll_wall_seconds
-            state["cancelled"] = store.cancel_requested(exp_id)
-        return state["cancelled"]
-
-    return run_simulation(
-        workload,
-        policy,
-        configs=configs,
-        spec=spec,
-        recorder=recorder,
-        stop_check=stop_check,
-        progress_hook=checkpoint_hook,
-        progress_every_epochs=submission.checkpoint_every,
-        setup_hook=setup_hook,
-    )
-
-
-@contextmanager
-def _cancel_monitor(store, exp_id, control, poll_wall_seconds):
-    """A threaded run's cancel event, set by a monitor thread once the
-    store flags the experiment cancelled or the broker preempts it."""
-    cancel_event = threading.Event()
-    done = threading.Event()
-
-    def monitor() -> None:
-        while not done.is_set():
-            if store.cancel_requested(exp_id) or (
-                control is not None and control.preempted.is_set()
-            ):
-                cancel_event.set()
-                return
-            done.wait(max(poll_wall_seconds, 0.02))
-
-    monitor_thread = threading.Thread(
-        target=monitor, name=f"cancel-monitor-{exp_id}", daemon=True
-    )
-    monitor_thread.start()
-    try:
-        yield cancel_event
-    finally:
-        done.set()
-        monitor_thread.join(timeout=5.0)
-
-
-def _run_live(
-    store, exp_id, submission, workload, policy, spec, configs,
-    recorder, checkpoint_hook, poll_wall_seconds, control=None,
-    setup_hook=None,
-):
-    from ..runtime.local import run_live
-
-    with _cancel_monitor(
-        store, exp_id, control, poll_wall_seconds
-    ) as cancel_event:
-        return run_live(
-            workload,
-            policy,
-            configs=configs,
-            spec=spec,
-            time_scale=submission.time_scale,
-            recorder=recorder,
-            cancel_event=cancel_event,
-            progress_hook=checkpoint_hook,
-            progress_every_epochs=submission.checkpoint_every,
-            setup_hook=setup_hook,
-        )
-
-
-def _run_cluster(
-    store, exp_id, submission, workload, policy, spec, configs,
-    recorder, checkpoint_hook, poll_wall_seconds, cluster_workers,
-    aggregator=None, control=None, setup_hook=None, fleet=None,
-    fleet_control=None,
-):
-    """Execute on the multi-process cluster runtime (§4's deployed
-    shape): one worker process per machine, heartbeat failure
-    detection, snapshot migration.  The daemon's ``--cluster-workers``
-    flag fixes the fleet size regardless of the submitted machine
-    count."""
-    from dataclasses import replace as replace_spec
-
-    from ..cluster.runtime import run_cluster
-
+def _cluster_options(
+    exp_id, submission, spec, cluster_workers, aggregator, fleet,
+    fleet_control,
+) -> Dict[str, Any]:
+    """``run_cluster``'s own arguments for one run (§4's deployed
+    shape: one worker process per machine).  The daemon's
+    ``--cluster-workers`` flag fixes the fleet size regardless of the
+    submitted machine count."""
     if cluster_workers < 1:
         raise ValueError("cluster_workers must be >= 1")
-    spec = replace_spec(spec, num_machines=cluster_workers)
-
     if fleet is not None:
         # Personalise the daemon's fleet template for this run: the
         # meter charges this experiment, against its own budget.
-        fleet = replace_spec(
+        fleet = replace(
             fleet,
             experiment_id=exp_id,
             budget_slot_hours=(
@@ -500,22 +424,10 @@ def _run_cluster(
                 else submission.budget_slot_hours
             ),
         )
-
-    with _cancel_monitor(
-        store, exp_id, control, poll_wall_seconds
-    ) as cancel_event:
-        return run_cluster(
-            workload,
-            policy,
-            configs=configs,
-            spec=spec,
-            time_scale=submission.time_scale,
-            recorder=recorder,
-            cancel_event=cancel_event,
-            progress_hook=checkpoint_hook,
-            progress_every_epochs=submission.checkpoint_every,
-            aggregator=aggregator,
-            setup_hook=setup_hook,
-            fleet=fleet,
-            fleet_control=fleet_control,
-        )
+    return {
+        "spec": replace(spec, num_machines=cluster_workers),
+        "time_scale": submission.time_scale,
+        "aggregator": aggregator,
+        "fleet": fleet,
+        "fleet_control": fleet_control,
+    }

@@ -146,7 +146,13 @@ class Submission:
         return registry.build_workload(self.workload)
 
     def build_policy(self) -> SchedulingPolicy:
-        return registry.build_policy(self.policy)
+        policy = registry.build_policy(self.policy)
+        if hasattr(policy, "configure_budget"):
+            # Budget-aware policies (pop-budget) spend against the
+            # slot-hour budget; without one they fall back to their own
+            # default at begin().
+            policy.configure_budget(self.budget_slot_hours)
+        return policy
 
     def build_generator(self, workload: Workload) -> HyperparameterGenerator:
         return registry.build_generator(

@@ -230,3 +230,69 @@ def test_cli_resume_completes_interrupted_experiment(tmp_path, capsys):
 def test_cli_resume_unknown_id_exits_3(tmp_path, capsys):
     assert main(["resume", "exp-missing", "--root", str(tmp_path)]) == 3
     assert "unknown experiment" in capsys.readouterr().err
+
+
+def test_cluster_demo_runs_on_worker_processes(capsys):
+    code = main(
+        [
+            "cluster-demo",
+            "--workers", "2",
+            "--configs", "2",
+            "--time-scale", "2e-5",
+            "--json",
+        ]
+    )
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["machine_failures"] == 0
+    assert payload["epochs_trained"] > 0
+
+
+@pytest.fixture()
+def no_spawn(monkeypatch):
+    """Fail the test if anything starts a child process."""
+    import multiprocessing.process
+
+    spawned = []
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "start",
+        lambda self: spawned.append(self.name),
+    )
+    yield spawned
+    assert spawned == []
+
+
+@pytest.mark.parametrize(
+    "extra", [["--workers", "0"], ["--workers", "2", "--autoscale", "1:3"]]
+)
+def test_cluster_demo_rejects_bad_fleet_before_spawning(extra, no_spawn, capsys):
+    assert main(["cluster-demo", "--configs", "2", *extra]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+#: Each local verb with its smallest valid arguments (output paths added
+#: per case).
+LOCAL_VERBS = {
+    "run": ["run", "--configs", "2", "--machines", "2"],
+    "cluster-demo": ["cluster-demo", "--workers", "2", "--configs", "2"],
+    "sweep run": ["sweep", "run", "--study", "sweep-smoke", "--out", "{tmp}/study"],
+    "train-policy": ["train-policy", "--episodes", "1", "--out", "{tmp}/a.json"],
+}
+
+
+@pytest.mark.parametrize("flag", ["--emit-events", "--metrics-out"])
+@pytest.mark.parametrize("verb", sorted(LOCAL_VERBS))
+def test_missing_output_directory_exits_2(verb, flag, tmp_path, no_spawn, capsys):
+    missing = tmp_path / "missing"
+    argv = [arg.format(tmp=tmp_path) for arg in LOCAL_VERBS[verb]]
+    assert main([*argv, flag, str(missing / "out.txt")]) == 2
+    assert "output directory does not exist" in capsys.readouterr().err
+    # Nothing was created: no missing directory, study or artifact.
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_serve_rejects_bad_arguments_before_creating_its_root(tmp_path, capsys):
+    root = tmp_path / "runs"
+    assert main(["serve", "--root", str(root), "--workers", "0"]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not root.exists()

@@ -110,7 +110,7 @@ def test_live_cancel_event_stops_run_with_partial_result(cifar10_workload):
             num_machines=2, num_configs=4, seed=0, stop_on_target=False
         ),
         time_scale=2e-3,
-        cancel_event=cancel,
+        stop_check=cancel.is_set,
         progress_hook=hook,
         progress_every_epochs=10,
     )
@@ -132,7 +132,7 @@ def test_live_preset_cancel_event_returns_promptly(cifar10_workload):
             num_machines=2, num_configs=2, seed=0, stop_on_target=False
         ),
         time_scale=2e-3,  # full run would take ~7s wall
-        cancel_event=cancel,
+        stop_check=cancel.is_set,
     )
     assert time.monotonic() - start < 2.0
     assert result.epochs_trained < 2 * cifar10_workload.domain.max_epochs

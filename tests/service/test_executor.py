@@ -62,7 +62,7 @@ def test_execute_marks_failed_on_error(store, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(executor, "_run_sim", boom)
+    monkeypatch.setattr("repro.sim.runner.run_simulation", boom)
     with pytest.raises(RuntimeError, match="synthetic failure"):
         executor.execute(store, record.id)
     final = store.get(record.id)
@@ -108,6 +108,62 @@ def test_cancellation_mid_run_yields_partial_result(store):
     # partial: nowhere near the full default-policy epoch count
     full = submission.configs * 120  # cifar10 max_epochs
     assert 0 < final.result["epochs_trained"] < full
+
+
+def _live_submission(**overrides) -> Submission:
+    fields = dict(
+        workload="cifar10",
+        policy="default",
+        configs=2,
+        machines=2,
+        stop_on_target=False,
+        live=True,
+        time_scale=2e-5,
+        checkpoint_every=5,
+    )
+    fields.update(overrides)
+    return Submission(**fields)
+
+
+def test_live_submission_trains_every_epoch(store):
+    submission = _live_submission()
+    final = executor.execute(store, store.submit(submission).id)
+    assert final.status == COMPLETED
+    assert final.result["epochs_trained"] == submission.configs * 120
+    assert final.checkpoint["epochs_trained"] > 0
+
+
+def test_live_cancellation_mid_run_yields_partial_result(store):
+    """The threaded runtimes stop on the same store poll as the
+    simulator: no helper thread outlives (or serves) the run."""
+    # ~7 s of wall for the full run, so the cancel lands mid-flight.
+    submission = _live_submission(time_scale=2e-3)
+    record = store.submit(submission)
+
+    def on_checkpoint(state):
+        if not store.cancel_requested(record.id):
+            store.request_cancel(record.id)
+
+    final = executor.execute(
+        store, record.id, on_checkpoint=on_checkpoint, poll_wall_seconds=0.0
+    )
+    assert final.status == CANCELLED
+    full = submission.configs * 120
+    assert 0 < final.result["epochs_trained"] < full
+    assert not [
+        thread.name for thread in threading.enumerate()
+        if thread.name.startswith("cancel-monitor-")
+    ]
+
+
+def test_cluster_submission_completes(store):
+    submission = _live_submission()
+    final = executor.execute(
+        store, store.submit(submission).id, cluster_workers=2
+    )
+    assert final.status == COMPLETED
+    assert final.result["epochs_trained"] == submission.configs * 120
+    assert final.result["machine_failures"] == 0
 
 
 def test_resume_requires_interrupted_status(store, small_submission):
