@@ -22,7 +22,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..observability import NULL_RECORDER, JsonlExporter
+from ..observability import NULL_RECORDER, Journal
 
 __all__ = ["ON_DEMAND", "SPOT", "CostModel", "CostMeter", "machine_classes"]
 
@@ -81,7 +81,7 @@ class CostMeter:
         budget_slot_hours: the submission's budget; ``None`` means
             unmetered (spend is still recorded, never exhausted).
         recorder: carries the ``cost_*`` gauges.
-        cost_path: where to write the ``cost.jsonl`` trail; ``None``
+        cost_path: the ``cost.jsonl`` trail to append to; ``None``
             keeps the meter in-memory only.
         exporter: an already-open exporter to append to instead — the
             daemon hands every experiment's meter the same
@@ -107,7 +107,7 @@ class CostMeter:
         if exporter is not None:
             self._exporter = exporter
         elif cost_path is not None:
-            self._exporter = JsonlExporter(cost_path)
+            self._exporter = Journal(cost_path)
         else:
             self._exporter = None
         metrics = recorder.metrics

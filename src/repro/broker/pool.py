@@ -132,13 +132,6 @@ class SlotPool:
         with self._lock:
             return self._shrink_target is not None
 
-    def leases_of(self, exp_id: str) -> List[SlotLease]:
-        with self._lock:
-            return [
-                lease for lease in self._leases.values()
-                if lease.exp_id == exp_id
-            ]
-
     def held(self, exp_id: str, include_revoked: bool = True) -> int:
         with self._lock:
             return sum(
@@ -146,15 +139,6 @@ class SlotPool:
                 if lease.exp_id == exp_id
                 and (include_revoked or not lease.revoked)
             )
-
-    def holdings(self) -> Dict[str, int]:
-        """Unrevoked slot count per experiment."""
-        out: Dict[str, int] = {}
-        with self._lock:
-            for lease in self._leases.values():
-                if not lease.revoked:
-                    out[lease.exp_id] = out.get(lease.exp_id, 0) + 1
-        return out
 
     # ------------------------------------------------------------ commands
 

@@ -598,11 +598,17 @@ def _recording(args: argparse.Namespace):
 
     Every output path's directory must already exist: the exporters open
     their files lazily, which would otherwise fail minutes into a run.
+    The ``--emit-events`` and ``--cost-out`` journals append, so a stale
+    file from an earlier run is removed first.
     """
     for flag in _OUTPUT_FLAGS:
         path = getattr(args, flag, None)
         if path and not Path(path).parent.is_dir():
             raise _UsageError(f"output directory does not exist: {path}")
+    for flag in ("emit_events", "cost_out"):
+        path = getattr(args, flag, None)
+        if path:
+            Path(path).unlink(missing_ok=True)
     emit_events = getattr(args, "emit_events", None)
     metrics_out = getattr(args, "metrics_out", None)
     trace = getattr(args, "trace", False)
@@ -610,9 +616,9 @@ def _recording(args: argparse.Namespace):
             or getattr(args, "telemetry_out", None)):
         yield None
         return
-    from .observability import JsonlExporter, Recorder
+    from .observability import Journal, Recorder
 
-    exporter = JsonlExporter(emit_events) if emit_events else None
+    exporter = Journal(emit_events) if emit_events else None
     recorder = Recorder(exporter=exporter, trace=trace)
     try:
         yield recorder

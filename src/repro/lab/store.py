@@ -22,11 +22,11 @@ needs to run again.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Union
+from typing import Any, Dict, List, Set, Union
 
+from ..observability.journal import Journal, atomic_write
 from .spec import StudySpec
 
 __all__ = ["StudyMismatchError", "CellStore"]
@@ -69,7 +69,7 @@ class CellStore:
                     "use a fresh --out directory"
                 )
             return
-        self._atomic_write(
+        atomic_write(
             self.spec_path, json.dumps(payload, indent=2, sort_keys=True)
         )
 
@@ -103,7 +103,7 @@ class CellStore:
 
     def save_cell(self, key: str, payload: Dict[str, Any]) -> None:
         """Durably record one completed cell (atomic, idempotent)."""
-        self._atomic_write(
+        atomic_write(
             self.cell_path(key), json.dumps(payload, sort_keys=True)
         )
         telemetry = payload.get("telemetry") or {}
@@ -116,10 +116,8 @@ class CellStore:
             },
             sort_keys=True,
         )
-        with open(self.root / self.JOURNAL_FILE, "a", encoding="utf-8") as fh:
-            fh.write(journal_line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        with Journal(self.root / self.JOURNAL_FILE, fsync=True) as journal:
+            journal.append(journal_line)
 
     def load_cell(self, key: str) -> Dict[str, Any]:
         with open(self.cell_path(key), "r", encoding="utf-8") as handle:
@@ -131,22 +129,14 @@ class CellStore:
 
     def journal(self) -> List[Dict[str, Any]]:
         """Completion journal entries, in completion order."""
-        path = self.root / self.JOURNAL_FILE
-        if not path.exists():
-            return []
-        out = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    out.append(json.loads(line))
-        return out
+        journal = Journal(self.root / self.JOURNAL_FILE)
+        return [json.loads(line) for line in journal.lines()]
 
     # ------------------------------------------------------------ reports
 
     def write_report(self, markdown: str, payload: Dict[str, Any]) -> None:
-        self._atomic_write(self.root / "report.md", markdown)
-        self._atomic_write(
+        atomic_write(self.root / "report.md", markdown)
+        atomic_write(
             self.root / "report.json",
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
         )
@@ -158,22 +148,3 @@ class CellStore:
     @property
     def report_json_path(self) -> Path:
         return self.root / "report.json"
-
-    # ------------------------------------------------------------ plumbing
-
-    @staticmethod
-    def _atomic_write(path: Path, text: str) -> None:
-        """Write-then-rename so readers (and kills) never see partials."""
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-
-    def find_missing(self, spec: Optional[StudySpec] = None) -> List[str]:
-        """Keys the spec expects that are not yet completed."""
-        if spec is None:
-            spec = self.load_spec()
-        done = self.completed_keys()
-        return [cell.key() for cell in spec.cells() if cell.key() not in done]

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Any, Dict
 
+from ..observability.journal import atomic_write
 from .features import FEATURE_VERSION, feature_schema
 
 __all__ = [
@@ -67,22 +67,11 @@ def make_artifact(
 
 def write_artifact(path: str, artifact: Dict[str, Any]) -> None:
     """Atomically write ``artifact`` as deterministic JSON."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     payload = json.dumps(
         artifact, sort_keys=True, separators=(",", ":"), indent=None
     )
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    atomic_write(path, payload)
 
 
 def load_artifact(path: str) -> Dict[str, Any]:

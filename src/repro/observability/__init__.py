@@ -13,6 +13,8 @@ training (§5.2) — and this package makes those decisions inspectable:
 * :mod:`~repro.observability.audit` — the decision audit trail: every
   SAP decision and POP classification, with the inputs that produced
   it, streamed as JSONL through a pluggable exporter.
+* :mod:`~repro.observability.journal` — the one append-only JSONL file
+  (:class:`Journal`) every trail and journal is written and read through.
 * :mod:`~repro.observability.recorder` — the facade the framework
   threads through; the :data:`NULL_RECORDER` default makes all of it
   free when unused.
@@ -22,12 +24,8 @@ schema.
 """
 
 from .audit import AuditRecord, AuditTrail, NullAuditTrail, NULL_AUDIT
-from .exporters import (
-    EventExporter,
-    InMemoryExporter,
-    JsonlExporter,
-    iter_jsonl,
-)
+from .exporters import EventExporter, InMemoryExporter
+from .journal import Journal
 from .aggregator import TelemetryAggregator
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .recorder import NULL_RECORDER, NullRecorder, Recorder
@@ -50,7 +48,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "InMemoryExporter",
-    "JsonlExporter",
+    "Journal",
     "MetricsRegistry",
     "NULL_AUDIT",
     "NULL_RECORDER",
@@ -64,7 +62,6 @@ __all__ = [
     "TelemetryAggregator",
     "TraceContext",
     "current_trace",
-    "iter_jsonl",
     "new_trace_id",
     "trace_context",
 ]

@@ -42,6 +42,8 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
+from .journal import Journal
+
 __all__ = [
     "load_journals",
     "classify_phase",
@@ -68,31 +70,30 @@ def load_journals(
 ) -> Dict[str, List[Dict[str, Any]]]:
     """Events per experiment; one journal file = one experiment.
 
-    Journals from crashed runs can end mid-line (or carry a line
-    mangled before the exporter grew its write lock); a post-mortem
-    tool must not choke on them, so undecodable lines are skipped.
+    Journals from crashed runs can end mid-line (that line is left out)
+    or carry a line mangled before the exporter grew its write lock; a
+    post-mortem tool must not choke on them, so undecodable lines are
+    skipped.
     A run store's journal wraps each audit record and span as
     ``{"kind": "audit", "record": {...}}``; those are unwrapped.
     """
     journals: Dict[str, List[Dict[str, Any]]] = {}
     for path in paths:
         path = Path(path)
+        if not path.is_file():
+            raise FileNotFoundError(f"no such journal: {path}")
         events: List[Dict[str, Any]] = []
-        with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(event, dict):
-                    if event.get("kind") == "audit" and isinstance(
-                        event.get("record"), dict
-                    ):
-                        event = event["record"]
-                    events.append(event)
+        for line in Journal(path).lines():
+            try:
+                event = json.loads(line)
+            except ValueError:
+                continue
+            if isinstance(event, dict):
+                if event.get("kind") == "audit" and isinstance(
+                    event.get("record"), dict
+                ):
+                    event = event["record"]
+                events.append(event)
         journals[path.stem] = events
     return journals
 

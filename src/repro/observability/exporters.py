@@ -1,4 +1,5 @@
-"""Pluggable event exporters (JSONL to disk, in-memory for tests).
+"""Pluggable event exporters (in-memory here; JSONL to disk is
+:class:`~repro.observability.journal.Journal`).
 
 Every audit record, span, and lifecycle mirror flows through one
 :class:`EventExporter`.  The contract is a single ``export(event)``
@@ -11,16 +12,9 @@ from __future__ import annotations
 
 import abc
 import json
-import threading
-from pathlib import Path
-from typing import Any, Dict, IO, Iterator, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping
 
-__all__ = [
-    "EventExporter",
-    "JsonlExporter",
-    "InMemoryExporter",
-    "iter_jsonl",
-]
+__all__ = ["EventExporter", "InMemoryExporter"]
 
 
 def _json_default(value: Any) -> Any:
@@ -56,38 +50,6 @@ class EventExporter(abc.ABC):
         return False
 
 
-class JsonlExporter(EventExporter):
-    """Streams events to a JSON-lines file, one document per line.
-
-    The file is opened lazily on the first event so constructing the
-    exporter (e.g. from CLI flags) has no side effects when a run emits
-    nothing.  Writes are serialised by a lock: one journal is fed by
-    many threads at once (driver threads finishing spans, the audit
-    trail, the cluster monitor re-exporting worker-shipped telemetry),
-    and interleaved buffered writes would corrupt lines.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._file: Optional[IO[str]] = None
-        self._lock = threading.Lock()
-        self.events_written = 0
-
-    def export(self, event: Mapping[str, Any]) -> None:
-        line = encode_event(event)
-        with self._lock:
-            if self._file is None:
-                self._file = self.path.open("w", encoding="utf-8")
-            self._file.write(line + "\n")
-            self.events_written += 1
-
-    def close(self) -> None:
-        with self._lock:
-            if self._file is not None:
-                self._file.close()
-                self._file = None
-
-
 class InMemoryExporter(EventExporter):
     """Collects events in a list (tests, result attachment)."""
 
@@ -97,11 +59,3 @@ class InMemoryExporter(EventExporter):
     def export(self, event: Mapping[str, Any]) -> None:
         self.events.append(dict(event))
 
-
-def iter_jsonl(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:
-    """Yield decoded events from a JSONL file."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)

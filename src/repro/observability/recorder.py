@@ -11,7 +11,7 @@ argument construction.
 
 Typical wiring::
 
-    exporter = JsonlExporter("events.jsonl")
+    exporter = Journal("events.jsonl")
     recorder = Recorder(exporter=exporter, trace=True)
     result = run_simulation(workload, policy, generator=g, spec=spec,
                             recorder=recorder)

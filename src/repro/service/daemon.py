@@ -84,9 +84,9 @@ from ..broker import (
     TenantQuota,
     parse_quota_spec,
 )
-from ..observability import Recorder
+from ..observability import Journal, Recorder
 from ..observability.aggregator import TelemetryAggregator
-from ..observability.exporters import JsonlExporter, encode_event
+from ..observability.exporters import encode_event
 from ..observability.metrics import MetricsRegistry
 from . import executor
 from .store import INTERRUPTED, QUEUED, TERMINAL_STATUSES, RunStore
@@ -179,7 +179,7 @@ class ExperimentService:
         default_quota = quotas.pop("*", None)
         self._broker_recorder = Recorder(
             metrics=self.metrics,
-            exporter=JsonlExporter(self.store.root / "broker.jsonl"),
+            exporter=Journal(self.store.root / "broker.jsonl"),
         )
         self.broker = ResourceBroker(
             pool=SlotPool(
@@ -203,12 +203,10 @@ class ExperimentService:
         self.autoscale = autoscale
         self.spot_fraction = spot_fraction
         self._fleet_template: Optional[FleetOptions] = None
-        self._cost_exporter: Optional[JsonlExporter] = None
+        self._cost_exporter: Optional[Journal] = None
         self._pool_autoscaler: Optional[PoolAutoscaler] = None
         if autoscale is not None or spot_fraction > 0.0:
-            self._cost_exporter = JsonlExporter(
-                self.store.root / "cost.jsonl"
-            )
+            self._cost_exporter = Journal(self.store.root / "cost.jsonl")
             self._fleet_template = FleetOptions(
                 autoscale=autoscale,
                 spot_fraction=spot_fraction,
@@ -350,7 +348,7 @@ class ExperimentService:
         SIGTERM matters: shells without job control start ``&``
         background jobs with SIGINT *ignored*, so ``kill -INT`` from a
         CI script never reaches us — ``kill -TERM`` is the reliable
-        way to ask a scripted daemon to flush and exit.  Call this as
+        way to ask a scripted daemon to stop gracefully.  Call this as
         soon as the service is up (the CLI does, before it prints the
         banner) so there is no window where TERM still hard-kills.
         """
@@ -931,8 +929,8 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError:
             self._send_error_json(400, "offset must be an integer")
             return
-        events = self.service.store.read_events(exp_id, offset=max(offset, 0))
-        body = "".join(encode_event(event) + "\n" for event in events)
+        lines = self.service.store.journal_lines(exp_id, max(offset, 0))
+        body = "".join(line + "\n" for line in lines)
         self._send(200, body.encode("utf-8"), "application/x-ndjson")
 
     def _delete_experiment(self, exp_id: str) -> None:

@@ -20,7 +20,8 @@ threads.  Each thread opens one SQLite connection on first use and
 reuses it; the database runs in WAL mode with ``synchronous=NORMAL``,
 so readers never block the writer and a commit survives a process kill
 (not necessarily a power loss — the same promise as the journal).
-Journal appends go through per-experiment cached handles behind a lock,
+Journal appends go through one cached
+:class:`~repro.observability.journal.Journal` per running experiment,
 flushed on every event so a killed process loses nothing already
 reported; readers only ever see whole, newline-terminated lines.
 """
@@ -34,9 +35,10 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from ..observability.exporters import EventExporter, encode_event
+from ..observability.journal import Journal
 from .submission import Submission
 
 __all__ = [
@@ -151,7 +153,7 @@ class RunStore:
         self.journal_dir = self.root / "journal"
         self.journal_dir.mkdir(exist_ok=True)
         self._lock = threading.Lock()
-        self._handles: Dict[str, IO[str]] = {}
+        self._journals: Dict[str, Journal] = {}
         self._local = threading.local()
         # Long-polls (wait_for_status_change) sleep on this; every
         # status write notifies it.
@@ -212,13 +214,13 @@ class RunStore:
         return row
 
     def close(self) -> None:
-        """Close cached journal handles and this thread's connection,
+        """Close cached journals and this thread's connection,
         checkpointing the WAL into ``store.db`` first (idempotent; a
         later call on the store reopens what it needs)."""
         with self._lock:
-            for handle in self._handles.values():
-                handle.close()
-            self._handles.clear()
+            for journal in self._journals.values():
+                journal.close()
+            self._journals.clear()
         conn = self._connect()
         conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         conn.close()
@@ -276,48 +278,35 @@ class RunStore:
         kill, even if the SQLite mirror never happens.
         """
         event = {"kind": kind, "wall_time": time.time(), **payload}
-        self._append_line(exp_id, encode_event(event))
+        self._journal(exp_id).append(encode_event(event))
 
-    def _append_line(self, exp_id: str, line: str) -> None:
+    def _journal(self, exp_id: str) -> Journal:
+        """The experiment's journal, kept open until the run stops."""
         with self._lock:
-            handle = self._handles.get(exp_id)
-            if handle is None:
-                handle = self.journal_path(exp_id).open("a", encoding="utf-8")
-                self._handles[exp_id] = handle
-            handle.write(line)
-            handle.write("\n")
-            handle.flush()
+            journal = self._journals.get(exp_id)
+            if journal is None:
+                journal = Journal(self.journal_path(exp_id))
+                self._journals[exp_id] = journal
+            return journal
+
+    def _close_journal(self, exp_id: str) -> None:
+        with self._lock:
+            journal = self._journals.pop(exp_id, None)
+        if journal is not None:
+            journal.close()
+
+    def journal_lines(self, exp_id: str, offset: int = 0) -> Iterator[str]:
+        """The journal's lines as stored, skipping the first ``offset``
+        (a last line the appender has not finished is left out)."""
+        return Journal(self.journal_path(exp_id)).lines(offset)
 
     def read_events(self, exp_id: str, offset: int = 0) -> List[Dict[str, Any]]:
-        """Decoded journal events, skipping the first ``offset`` lines.
-
-        Only newline-terminated lines count: a last line the appender
-        has not finished writing is left for the next read.
-        """
-        path = self.journal_path(exp_id)
-        if not path.exists():
-            return []
-        events = []
-        with path.open("rb") as handle:
-            for index, line in enumerate(handle):
-                if not line.endswith(b"\n"):
-                    break
-                if index < offset:
-                    continue
-                line = line.strip()
-                if line:
-                    events.append(json.loads(line))
-        return events
+        """Decoded journal events, skipping the first ``offset`` lines."""
+        return [json.loads(line) for line in self.journal_lines(exp_id, offset)]
 
     def journal_exporter(self, exp_id: str) -> "JournalExporter":
         """An observability exporter that streams into the journal."""
         return JournalExporter(self, exp_id)
-
-    def _close_journal(self, exp_id: str) -> None:
-        with self._lock:
-            handle = self._handles.pop(exp_id, None)
-        if handle is not None:
-            handle.close()
 
     # ------------------------------------------------------------ lifecycle
 
@@ -389,34 +378,6 @@ class RunStore:
                 " ORDER BY created_at, id"
             ).fetchall()
         return [self._decode(row, with_result=False) for row in rows]
-
-    def claim_next_queued(self) -> Optional[RunRecord]:
-        """Atomically move the best queued experiment to RUNNING.
-
-        "Best" is priority DESC, then created-at FIFO — the broker's
-        dispatch order.  Safe against concurrent workers: the
-        compare-and-set UPDATE only wins for one claimant; losers retry
-        on the next row.
-        """
-        with self._connect() as conn:
-            while True:
-                row = conn.execute(
-                    "SELECT id FROM experiments WHERE status = ?"
-                    " ORDER BY priority DESC, created_at, id LIMIT 1",
-                    (QUEUED,),
-                ).fetchone()
-                if row is None:
-                    return None
-                cursor = conn.execute(
-                    "UPDATE experiments SET status = ?, started_at = ?"
-                    " WHERE id = ? AND status = ?",
-                    (RUNNING, time.time(), row["id"], QUEUED),
-                )
-                conn.commit()
-                if cursor.rowcount:
-                    self.append_event(row["id"], "status", status=RUNNING)
-                    self._status_written()
-                    return self.get(row["id"])
 
     def claim_specific(self, exp_id: str) -> Optional[RunRecord]:
         """Atomically claim one specific queued (or interrupted)
@@ -516,7 +477,7 @@ class RunStore:
             # append_event(kind="result", result=result) would write.
             encoded = encode_event(result)
             head = encode_event({"kind": "result", "wall_time": time.time()})
-            self._append_line(exp_id, f'{head[:-1]},"result":{encoded}}}')
+            self._journal(exp_id).append(f'{head[:-1]},"result":{encoded}}}')
         with self._connect() as conn:
             self._require(conn, exp_id)
             conn.execute(
@@ -628,12 +589,6 @@ class RunStore:
                 "UPDATE experiments SET checkpoint = ? WHERE id = ?",
                 (encode_event(state), exp_id),
             )
-
-    def latest_checkpoint(self, exp_id: str) -> Optional[Dict[str, Any]]:
-        record = self.get(exp_id)
-        if record is None:
-            raise KeyError(f"unknown experiment {exp_id!r}")
-        return record.checkpoint
 
 
 class JournalExporter(EventExporter):

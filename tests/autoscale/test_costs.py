@@ -13,7 +13,7 @@ from repro.autoscale import (
     CostModel,
     machine_classes,
 )
-from repro.observability import JsonlExporter, Recorder
+from repro.observability import Journal, Recorder
 
 
 def read_jsonl(path):
@@ -112,7 +112,7 @@ def test_meter_owned_trail_reconciles(tmp_path):
 
 def test_meter_shared_exporter_not_closed(tmp_path):
     path = tmp_path / "cost.jsonl"
-    exporter = JsonlExporter(path)
+    exporter = Journal(path)
     first = CostMeter("exp-1", exporter=exporter)
     second = CostMeter("exp-2", exporter=exporter)
     first.charge(ON_DEMAND, 60.0)

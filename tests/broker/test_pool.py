@@ -71,7 +71,8 @@ def test_holdings_excludes_revoked():
     pool.acquire("exp-a", "alice", 3)
     pool.acquire("exp-b", "bob", 1)
     pool.revoke("exp-a", 2)
-    assert pool.holdings() == {"exp-a": 1, "exp-b": 1}
+    assert pool.held("exp-a", include_revoked=False) == 1
+    assert pool.held("exp-b", include_revoked=False) == 1
 
 
 def test_gauges_track_allocation():

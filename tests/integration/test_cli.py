@@ -218,7 +218,7 @@ def test_cli_resume_completes_interrupted_experiment(tmp_path, capsys):
             machines=2, checkpoint_every=5,
         )
     )
-    store.claim_next_queued()  # claimed, then the "daemon dies"
+    store.claim_specific(record.id)  # claimed, then the "daemon dies"
     store.close()
 
     assert main(["resume", record.id, "--root", str(root)]) == 0

@@ -93,16 +93,6 @@ def test_load_spec_refuses_pre_1_6_store(tmp_path):
         store.save_spec(make_spec())
 
 
-def test_find_missing(tmp_path):
-    spec = make_spec()
-    store = CellStore(tmp_path)
-    store.save_spec(spec)
-    cells = spec.cells()
-    assert store.find_missing() == [cell.key() for cell in cells]
-    store.save_cell(cells[0].key(), payload_for(cells[0].key()))
-    assert store.find_missing(spec) == [cell.key() for cell in cells[1:]]
-
-
 def test_mtime_ns_tracks_cell_file(tmp_path):
     store = CellStore(tmp_path)
     store.save_cell("k1", payload_for("k1"))

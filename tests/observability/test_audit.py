@@ -3,13 +3,15 @@ path (``--emit-events`` / ``--metrics-out``)."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.classification import CONFIDENCE_LOWER_BOUND
 from repro.core.pop import POPPolicy
 from repro.framework.experiment import ExperimentSpec
 from repro.generators.random_gen import RandomGenerator
-from repro.observability import AuditTrail, InMemoryExporter, Recorder, iter_jsonl
+from repro.observability import AuditTrail, InMemoryExporter, Journal, Recorder
 from repro.sim.runner import run_simulation
 
 
@@ -134,7 +136,8 @@ class TestCliAcceptance:
         assert code == 0
 
         decisions = [
-            e for e in iter_jsonl(events) if e["kind"] == "sap_decision"
+            e for e in map(json.loads, Journal(events).lines())
+            if e["kind"] == "sap_decision"
         ]
         assert decisions
         kills = [e for e in decisions if e["data"]["decision"] == "terminate"]

@@ -50,7 +50,7 @@ def test_execute_unknown_id(store):
 
 def test_execute_rejects_terminal_experiment(store, small_submission):
     record = store.submit(small_submission)
-    store.claim_next_queued()
+    store.claim_specific(record.id)
     store.mark_finished(record.id, COMPLETED, result={})
     with pytest.raises(ValueError, match="only queued/running"):
         executor.execute(store, record.id)
@@ -178,7 +178,7 @@ def test_resume_completes_an_interrupted_experiment(tmp_path, small_submission):
     root = tmp_path / "runs"
     store = RunStore(root)
     record = store.submit(small_submission)
-    store.claim_next_queued()
+    store.claim_specific(record.id)
     # journal the minted configs the way a real run would, then "crash"
     workload = small_submission.build_workload()
     generator = small_submission.build_generator(workload)
@@ -262,7 +262,7 @@ def test_resume_over_a_1_7_run_store_matches_fresh_run(tmp_path):
     store = RunStore(root)
     (exp_id,) = store.recover_interrupted()
     submission = store.get(exp_id).submission
-    assert store.latest_checkpoint(exp_id)["epochs_trained"] == 40
+    assert store.get(exp_id).checkpoint["epochs_trained"] == 40
     resumed = executor.resume(store, exp_id)
     assert resumed.status == COMPLETED
     marker = next(

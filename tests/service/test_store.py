@@ -59,19 +59,17 @@ def test_submission_rejects_unknown_component_names():
         Submission(policy="nonsense")
 
 
-def test_claim_next_queued_is_fifo_and_exclusive(store, small_submission):
-    first = store.submit(small_submission)
-    second = store.submit(small_submission)
-    claimed = store.claim_next_queued()
-    assert claimed.id == first.id
+def test_claim_specific_is_exclusive(store, small_submission):
+    record = store.submit(small_submission)
+    claimed = store.claim_specific(record.id)
+    assert claimed.id == record.id
     assert claimed.status == RUNNING
-    assert store.claim_next_queued().id == second.id
-    assert store.claim_next_queued() is None
+    assert store.claim_specific(record.id) is None
 
 
 def test_mark_finished_records_result(store, small_submission):
     record = store.submit(small_submission)
-    store.claim_next_queued()
+    store.claim_specific(record.id)
     store.mark_finished(record.id, COMPLETED, result={"epochs_trained": 7})
     final = store.get(record.id)
     assert final.status == COMPLETED
@@ -92,12 +90,12 @@ def test_cancel_queued_is_immediate(store, small_submission):
     cancelled = store.request_cancel(record.id)
     assert cancelled.status == CANCELLED
     # no worker can claim it afterwards
-    assert store.claim_next_queued() is None
+    assert store.claim_specific(record.id) is None
 
 
 def test_cancel_running_sets_flag_only(store, small_submission):
     record = store.submit(small_submission)
-    store.claim_next_queued()
+    store.claim_specific(record.id)
     assert not store.cancel_requested(record.id)
     updated = store.request_cancel(record.id)
     assert updated.status == RUNNING
@@ -106,7 +104,7 @@ def test_cancel_running_sets_flag_only(store, small_submission):
 
 def test_cancel_terminal_raises(store, small_submission):
     record = store.submit(small_submission)
-    store.claim_next_queued()
+    store.claim_specific(record.id)
     store.mark_finished(record.id, FAILED, error="boom")
     with pytest.raises(ValueError, match="already failed"):
         store.request_cancel(record.id)
@@ -121,7 +119,7 @@ def test_checkpoint_roundtrip_and_journal(store, small_submission):
     record = store.submit(small_submission)
     store.save_checkpoint(record.id, {"epochs_trained": 5})
     store.save_checkpoint(record.id, {"epochs_trained": 11})
-    assert store.latest_checkpoint(record.id) == {"epochs_trained": 11}
+    assert store.get(record.id).checkpoint == {"epochs_trained": 11}
     states = [
         event["state"]["epochs_trained"]
         for event in store.read_events(record.id)
@@ -149,7 +147,7 @@ def test_minted_configs_roundtrip(store, small_submission):
 def test_recover_interrupted_flips_stale_running(store, small_submission):
     running = store.submit(small_submission)
     queued = store.submit(small_submission)
-    store.claim_next_queued()
+    store.claim_specific(running.id)
     assert store.recover_interrupted() == [running.id]
     assert store.get(running.id).status == INTERRUPTED
     assert store.get(queued.id).status == QUEUED
@@ -262,7 +260,7 @@ def test_read_events_skips_a_hand_truncated_last_line(store, small_submission):
 
 def test_result_is_encoded_once_for_journal_and_index(store, small_submission):
     record = store.submit(small_submission)
-    store.claim_next_queued()
+    store.claim_specific(record.id)
     result = {"epochs_trained": 7, "curve": [0.1, 0.25], "name": "x"}
     store.mark_finished(record.id, COMPLETED, result=result)
     line = store.journal_path(record.id).read_text().splitlines()[-1]
@@ -283,7 +281,7 @@ def test_list_skips_results_and_keeps_every_other_field(
     store, small_submission
 ):
     finished = store.submit(small_submission)
-    store.claim_next_queued()
+    store.claim_specific(finished.id)
     store.save_checkpoint(finished.id, {"epochs_trained": 5})
     store.mark_finished(finished.id, COMPLETED, result={"epochs_trained": 7})
     queued = store.submit(small_submission)
@@ -300,7 +298,7 @@ def test_get_encoded_is_the_encoded_record_byte_for_byte(
     store, small_submission
 ):
     finished = store.submit(small_submission)
-    store.claim_next_queued()
+    store.claim_specific(finished.id)
     store.save_checkpoint(finished.id, {"epochs_trained": 5})
     result = {
         "epochs_trained": 7, "curve": [0.1, 1e-17, float("nan")],
@@ -333,7 +331,7 @@ def test_get_encoded_of_a_non_compact_result_decodes_equal(
 def test_status_reads_the_status_alone(store, small_submission):
     record = store.submit(small_submission)
     assert store.status(record.id) == QUEUED
-    store.claim_next_queued()
+    store.claim_specific(record.id)
     assert store.status(record.id) == RUNNING
     assert store.status("exp-missing") is None
 
@@ -352,7 +350,7 @@ def test_store_runs_in_wal_mode_and_close_checkpoints(store, small_submission):
     store.close()
     assert not wal.exists() or wal.stat().st_size == 0
     # Still usable after close: the next call reopens.
-    assert store.latest_checkpoint(record.id) == {"epochs_trained": 3}
+    assert store.get(record.id).checkpoint == {"epochs_trained": 3}
 
 
 def test_connections_are_per_thread_and_reused(store):
@@ -370,7 +368,7 @@ def test_connections_are_per_thread_and_reused(store):
 
 def test_wait_for_status_change_returns_the_new_record(store, small_submission):
     record = store.submit(small_submission)
-    store.claim_next_queued()
+    store.claim_specific(record.id)
     seen = []
     waiter = threading.Thread(
         target=lambda: seen.append(
@@ -425,7 +423,7 @@ def test_wait_for_status_change_decodes_once(
         woken.clear()
         store._status_written()
     assert woken.wait(30)
-    store.claim_next_queued()
+    store.claim_specific(record.id)
     waiter.join(timeout=30)
     assert not waiter.is_alive()
     assert seen[0].status == RUNNING
