@@ -1,12 +1,6 @@
 """Analysis helpers: standard setups and per-figure data extraction."""
 
 from .experiments import (
-    NUM_CONFIGS,
-    RL_GENERATOR_SEED,
-    RL_NUM_MACHINES,
-    SL_GENERATOR_SEED,
-    SL_NUM_MACHINES,
-    repeat_experiment,
     run_standard_experiment,
     standard_configs,
     standard_rl_workload,
@@ -29,12 +23,6 @@ from .figures import (
 )
 
 __all__ = [
-    "NUM_CONFIGS",
-    "RL_GENERATOR_SEED",
-    "RL_NUM_MACHINES",
-    "SL_GENERATOR_SEED",
-    "SL_NUM_MACHINES",
-    "repeat_experiment",
     "run_standard_experiment",
     "standard_configs",
     "standard_rl_workload",

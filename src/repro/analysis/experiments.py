@@ -10,17 +10,16 @@ equivalents:
 * reinforcement: the LunarLander workload, 100 configurations from
   random seed 11, 15 machines (the AWS setup).
 
-The generator seeds were chosen (see DESIGN.md) so the fixed
-configuration sets exhibit the qualitative regime the paper reports:
-achievers exist but none dominates the first machine batch, slow
-"overtaker" achievers appear before fast ones, and every policy can
-reach the target.
+The per-workload seeds and cluster sizes live in
+:data:`repro.registry.PAPER_SETUP`, which the CLI, the service and the
+Sweep Lab read too.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
+from .. import registry
 from ..framework.experiment import ExperimentResult, ExperimentSpec
 from ..generators.random_gen import RandomGenerator
 from ..policies.base import SchedulingPolicy
@@ -30,24 +29,12 @@ from ..workloads.cifar10 import Cifar10Workload
 from ..workloads.lunarlander import LunarLanderWorkload
 
 __all__ = [
-    "SL_GENERATOR_SEED",
-    "RL_GENERATOR_SEED",
-    "SL_NUM_MACHINES",
-    "RL_NUM_MACHINES",
-    "NUM_CONFIGS",
     "standard_sl_workload",
     "standard_rl_workload",
     "standard_configs",
     "standard_spec",
     "run_standard_experiment",
-    "repeat_experiment",
 ]
-
-SL_GENERATOR_SEED = 17
-RL_GENERATOR_SEED = 11
-SL_NUM_MACHINES = 4
-RL_NUM_MACHINES = 15
-NUM_CONFIGS = 100
 
 
 def standard_sl_workload() -> Cifar10Workload:
@@ -61,15 +48,12 @@ def standard_rl_workload() -> LunarLanderWorkload:
 
 
 def standard_configs(
-    workload: Workload, num_configs: int = NUM_CONFIGS, seed: Optional[int] = None
+    workload: Workload, num_configs: int = 100, seed: Optional[int] = None
 ) -> List[Dict[str, Any]]:
-    """The fixed configuration set for a workload's domain."""
+    """The fixed configuration set: ``num_configs`` draws of the random
+    generator at ``seed`` (default: the workload's published seed)."""
     if seed is None:
-        seed = (
-            SL_GENERATOR_SEED
-            if workload.domain.kind == "supervised"
-            else RL_GENERATOR_SEED
-        )
+        seed = registry.default_gen_seed(workload)
     generator = RandomGenerator(workload.space, seed=seed, max_configs=num_configs)
     return [generator.create_job()[1] for _ in range(num_configs)]
 
@@ -77,17 +61,13 @@ def standard_configs(
 def standard_spec(
     workload: Workload,
     num_machines: Optional[int] = None,
-    num_configs: int = NUM_CONFIGS,
+    num_configs: int = 100,
     seed: int = 0,
     **overrides: Any,
 ) -> ExperimentSpec:
-    """The standard :class:`ExperimentSpec` for a workload's domain."""
+    """The standard :class:`ExperimentSpec` for a workload."""
     if num_machines is None:
-        num_machines = (
-            SL_NUM_MACHINES
-            if workload.domain.kind == "supervised"
-            else RL_NUM_MACHINES
-        )
+        num_machines = registry.default_machines(workload)
     return ExperimentSpec(
         num_machines=num_machines,
         num_configs=num_configs,
@@ -101,7 +81,7 @@ def run_standard_experiment(
     policy: SchedulingPolicy,
     seed: int = 0,
     num_machines: Optional[int] = None,
-    num_configs: int = NUM_CONFIGS,
+    num_configs: int = 100,
     configs: Optional[Sequence[Dict[str, Any]]] = None,
     predictor: Optional[Any] = None,
     **spec_overrides: Any,
@@ -120,16 +100,3 @@ def run_standard_experiment(
         workload, policy, spec=spec, configs=configs, predictor=predictor
     )
 
-
-def repeat_experiment(
-    workload: Workload,
-    policy_factory: Callable[[], SchedulingPolicy],
-    repeats: int,
-    **kwargs: Any,
-) -> List[ExperimentResult]:
-    """Repeat the standard experiment with distinct training-noise
-    seeds (the paper repeats 10x supervised, 5x RL, §6.1)."""
-    return [
-        run_standard_experiment(workload, policy_factory(), seed=seed, **kwargs)
-        for seed in range(repeats)
-    ]

@@ -35,12 +35,11 @@ import json
 import logging
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import registry
 from .framework.experiment import ExperimentSpec
-from .generators.random_gen import RandomGenerator
 from .sim.runner import run_simulation
 from .sim.trace import Trace, TraceWorkload, record_trace
 
@@ -777,14 +776,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_record_trace(args: argparse.Namespace) -> int:
+    from .analysis.experiments import standard_configs
+
     workload = registry.build_workload(args.workload)
-    gen_seed = args.gen_seed
-    if gen_seed is None:
-        gen_seed = registry.default_gen_seed(args.workload)
-    generator = RandomGenerator(
-        workload.space, seed=gen_seed, max_configs=args.configs
-    )
-    configs = [generator.create_job()[1] for _ in range(args.configs)]
+    configs = standard_configs(workload, args.configs, seed=args.gen_seed)
     trace = record_trace(workload, configs, seed=args.seed)
     trace.save(args.out)
     print(f"recorded {len(trace)} configurations x "
@@ -1031,27 +1026,15 @@ def _cmd_sweep_status(args: argparse.Namespace) -> int:
 
 
 def _submission_from_args(args: argparse.Namespace):
+    """The :class:`Submission` whose fields the parsed flags name; a
+    verb without a flag keeps the field's default."""
     from .service.submission import Submission
 
-    return Submission(
-        workload=args.workload,
-        policy=args.policy,
-        generator=args.generator,
-        machines=getattr(args, "machines", None),
-        configs=args.configs,
-        seed=args.seed,
-        gen_seed=args.gen_seed,
-        target=args.target,
-        tmax_hours=args.tmax_hours,
-        stop_on_target=not args.no_stop_on_target,
-        live=getattr(args, "live", False),
-        time_scale=args.time_scale,
-        checkpoint_every=getattr(args, "checkpoint_every", 25),
-        tenant=getattr(args, "tenant", "default"),
-        priority=getattr(args, "priority", 0),
-        deadline_hours=getattr(args, "deadline_hours", None),
-        budget_slot_hours=getattr(args, "budget_slot_hours", None),
-    )
+    values = {
+        f.name: getattr(args, f.name)
+        for f in fields(Submission) if hasattr(args, f.name)
+    }
+    return Submission(**values, stop_on_target=not args.no_stop_on_target)
 
 
 def _record_line(record: dict) -> str:

@@ -31,12 +31,12 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from .. import registry
-from ..framework.experiment import ExperimentSpec
+import numpy as np
+
 from ..observability.recorder import NULL_RECORDER
 from .analysis import analyze
 from .report import render_json, render_markdown
-from .spec import FIXED_GENERATOR, Cell, StudySpec
+from .spec import Cell, StudySpec
 from .store import CellStore
 
 __all__ = [
@@ -77,7 +77,10 @@ def _with_budget_stop(policy, budget_slot_hours: float):
     Budget-aware policies (``configure_budget``) manage the purse
     themselves; everyone else gets this shim so a fixed-budget study
     compares policies at *equal spend* — the experiment hard-stops the
-    moment cumulative machine time crosses the budget.
+    moment cumulative machine time crosses the budget.  This is the one
+    place a cell runs differently from the same submission in the
+    service, which leaves the budget to its broker (a spent budget
+    shrinks the run to one slot; without a broker it runs past it).
     """
     inner = policy.application_stat
     state = {"spent": 0.0, "stopped": False}
@@ -119,60 +122,33 @@ def execute_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
         ``telemetry`` digest from the cell's private registry.
     """
     from ..observability.recorder import Recorder
+    from ..sim.runner import run_simulation
 
     cell = Cell(**payload)
-    resolved = cell.resolved()
     started = time.monotonic()
     cpu_started = time.process_time()
     recorder = Recorder()
-    workload = registry.build_workload(cell.workload)
-    policy = registry.build_policy(cell.policy)
-    if hasattr(policy, "configure_budget"):
-        policy.configure_budget(cell.budget_slot_hours)
-    elif cell.budget_slot_hours is not None:
+    workload = cell.build_workload()
+    policy = cell.build_policy()
+    if cell.budget_slot_hours is not None and not hasattr(
+        policy, "configure_budget"
+    ):
         policy = _with_budget_stop(policy, cell.budget_slot_hours)
-    spec = ExperimentSpec(
-        num_machines=resolved["machines"],
-        num_configs=cell.num_configs,
-        seed=cell.seed,
-        target=cell.target,
-        tmax=cell.tmax_hours * 3600.0,
-        stop_on_target=cell.stop_on_target,
+    configs = cell.mint_configs(workload)
+    if cell.config_order is not None:
+        permutation = np.random.default_rng(cell.config_order).permutation(
+            len(configs)
+        )
+        configs = [configs[index] for index in permutation]
+    result = run_simulation(
+        workload, policy, configs=configs, spec=cell.build_spec(),
+        recorder=recorder,
     )
-    from ..sim.runner import run_simulation
-
-    if cell.generator == FIXED_GENERATOR:
-        from ..analysis.experiments import standard_configs
-
-        configs = standard_configs(
-            workload, cell.num_configs, seed=resolved["gen_seed"]
-        )
-        if cell.config_order is not None:
-            import numpy as np
-
-            permutation = np.random.default_rng(
-                cell.config_order
-            ).permutation(len(configs))
-            configs = [configs[index] for index in permutation]
-        result = run_simulation(
-            workload, policy, configs=configs, spec=spec, recorder=recorder
-        )
-    else:
-        generator = registry.build_generator(
-            cell.generator,
-            workload,
-            max_configs=cell.num_configs,
-            gen_seed=resolved["gen_seed"],
-        )
-        result = run_simulation(
-            workload, policy, generator=generator, spec=spec,
-            recorder=recorder,
-        )
     wall_seconds = time.monotonic() - started
     return {
         "key": cell.key(),
         "label": cell.label(),
-        "cell": resolved,
+        "cell": cell.resolved(),
         "result": result.to_dict(),
         "wall_seconds": wall_seconds,
         "telemetry": telemetry_digest(

@@ -29,9 +29,10 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .. import registry
+from ..service.submission import Submission
 
 __all__ = [
     "COMPARE_AXES",
@@ -47,10 +48,16 @@ COMPARE_AXES = ("policy", "workload", "generator", "machines")
 #: Axes that produce paired replicates rather than comparison groups.
 REPLICATE_AXES = ("seed", "config_order")
 
-#: Pseudo-generator name: the standard fixed configuration set
-#: (``repro.analysis.experiments.standard_configs``) instead of a
-#: registry Hyperparameter Generator.  This is the paper's §6.1
-#: protocol — one frozen configuration list reused across policies.
+#: The StudySpec fields holding axis levels.
+_AXIS_FIELDS = (
+    "policies", "workloads", "generators", "seeds", "machines",
+    "config_orders",
+)
+
+#: Pseudo-generator name: the standard fixed configuration set, i.e.
+#: the registry's ``random`` generator at the workload's published
+#: generator seed.  This is the paper's §6.1 protocol — one frozen
+#: configuration list reused across policies.
 FIXED_GENERATOR = "fixed"
 
 _METRICS = {
@@ -60,30 +67,32 @@ _METRICS = {
 }
 
 
-@dataclass(frozen=True)
-class Cell:
+#: The fields of a resolved cell.  Their canonical JSON is the cell
+#: key, so this list must not change.
+_KEY_FIELDS = (
+    "study", "workload", "policy", "generator", "seed", "machines",
+    "config_order", "num_configs", "gen_seed", "target", "tmax_hours",
+    "stop_on_target", "budget_slot_hours", "gen_seed_mode",
+)
+
+
+@dataclass(frozen=True, kw_only=True)
+class Cell(Submission):
     """One fully-specified experiment in a study grid.
 
-    ``machines`` and ``gen_seed`` may be ``None`` (meaning "the
-    workload's published default"); :meth:`resolved` pins them so the
-    cell key never depends on defaults changing between axes.
+    A cell is a run description (:class:`Submission`) plus three
+    lab-only fields.  Its ``generator`` may also be
+    :data:`FIXED_GENERATOR`: the registry's ``random`` generator at the
+    resolved generator seed.  ``machines`` and ``gen_seed`` may be
+    ``None`` (the workload's published default); :meth:`resolved` pins
+    them so the cell key never depends on defaults changing between
+    axes.  The submission's service-only fields stay out of the key.
     """
 
     study: str
-    workload: str
-    policy: str
-    generator: str
-    seed: int
-    machines: Optional[int]
-    config_order: Optional[int]
-    num_configs: int
-    gen_seed: Optional[int]
-    target: Optional[float]
-    tmax_hours: float
-    stop_on_target: bool
-    #: Machine-hour budget handed to budget-aware policies (via their
-    #: ``configure_budget`` hook); None leaves the policy's default.
-    budget_slot_hours: Optional[float] = None
+    #: Shuffle seed applied to the minted configuration list (§7.2.2
+    #: order sensitivity); None keeps the generator's order.
+    config_order: Optional[int] = None
     #: How the generator seed relates to the replicate seed: "fixed"
     #: reuses one configuration set across replicates (the §6.1
     #: protocol); "per-seed" offsets the generator seed by the
@@ -92,15 +101,25 @@ class Cell:
     #: training must never have seen the evaluation sets.
     gen_seed_mode: str = "fixed"
 
+    @property
+    def registry_generator(self) -> str:
+        return "random" if self.generator == FIXED_GENERATOR else self.generator
+
+    @property
+    def resolved_gen_seed(self) -> int:
+        offset = self.seed if self.gen_seed_mode == "per-seed" else 0
+        return super().resolved_gen_seed + offset
+
+    @property
+    def num_configs(self) -> int:
+        """The cell key's name for :attr:`configs`."""
+        return self.configs
+
     def resolved(self) -> Dict[str, Any]:
         """The cell with every default pinned (canonical, hashable)."""
-        out = asdict(self)
-        if out["machines"] is None:
-            out["machines"] = registry.default_machines(self.workload)
-        if out["gen_seed"] is None:
-            out["gen_seed"] = registry.default_gen_seed(self.workload)
-        if self.gen_seed_mode == "per-seed":
-            out["gen_seed"] = out["gen_seed"] + self.seed
+        out = {name: getattr(self, name) for name in _KEY_FIELDS}
+        out["machines"] = self.resolved_machines
+        out["gen_seed"] = self.resolved_gen_seed
         return out
 
     def key(self) -> str:
@@ -169,11 +188,14 @@ class StudySpec:
             convention) or ``"best_metric"`` (higher is better).
         tenant: broker tenant a daemon-hosted study bills to (rate
             limits and the tenants panel; docs/service.md).
-        priority: admission priority for daemon-hosted studies.
-        deadline_hours: soft deadline carried to the broker.
-        budget_slot_hours: slot-hour budget carried to the broker and
-            handed to budget-aware policies (``configure_budget``), so
-            a fixed-budget study caps every cell's machine-time spend.
+        priority: recorded in ``study.json``; no code reads it (hosted
+            studies run in the daemon's process, outside the broker's
+            queue and slot pool).
+        deadline_hours: recorded in ``study.json``; no code reads it.
+        budget_slot_hours: every cell's slot-hour budget.  Budget-aware
+            policies spend against it (``configure_budget``); the lab
+            stops a budget-blind policy's cell once it is spent, so a
+            fixed-budget study compares policies at equal spend.
         gen_seed_mode: ``"fixed"`` reuses one generator seed across
             replicates; ``"per-seed"`` offsets it by each replicate
             seed, giving every replicate a held-out configuration set
@@ -202,39 +224,17 @@ class StudySpec:
     gen_seed_mode: str = "fixed"
 
     def __post_init__(self) -> None:
-        # Coerce JSON-borne lists into tuples so the spec stays
-        # hashable and comparable regardless of how it was built.
-        for axis in (
-            "policies", "workloads", "generators", "seeds", "machines",
-            "config_orders",
-        ):
-            object.__setattr__(self, axis, _as_tuple(getattr(self, axis)))
         if not self.name:
             raise ValueError("study name must be non-empty")
-        if not self.policies:
-            raise ValueError("policies must be non-empty")
-        if not self.workloads:
-            raise ValueError("workloads must be non-empty")
-        if not self.generators:
-            raise ValueError("generators must be non-empty")
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
-        if not self.machines:
-            raise ValueError("machines must be non-empty")
-        if not self.config_orders:
-            raise ValueError("config_orders must be non-empty")
-        for policy in self.policies:
-            if policy not in registry.POLICIES:
-                choices = ", ".join(sorted(registry.POLICIES))
-                raise ValueError(
-                    f"unknown policy {policy!r} (choices: {choices})"
-                )
-        for workload in self.workloads:
-            if workload not in registry.WORKLOADS:
-                choices = ", ".join(sorted(registry.WORKLOADS))
-                raise ValueError(
-                    f"unknown workload {workload!r} (choices: {choices})"
-                )
+        for axis in _AXIS_FIELDS:
+            # Coerce JSON-borne lists into tuples so the spec stays
+            # hashable and comparable regardless of how it was built.
+            levels = _as_tuple(getattr(self, axis))
+            object.__setattr__(self, axis, levels)
+            if not levels:
+                raise ValueError(f"{axis} must be non-empty")
+            if len(set(levels)) != len(levels):
+                raise ValueError(f"duplicate levels in {axis}")
         for generator in self.generators:
             if generator != FIXED_GENERATOR and generator not in registry.GENERATORS:
                 choices = ", ".join(
@@ -243,23 +243,11 @@ class StudySpec:
                 raise ValueError(
                     f"unknown generator {generator!r} (choices: {choices})"
                 )
-        for axis_name, levels in (
-            ("seeds", self.seeds), ("policies", self.policies),
-            ("workloads", self.workloads), ("generators", self.generators),
-            ("machines", self.machines), ("config_orders", self.config_orders),
-        ):
-            if len(set(levels)) != len(levels):
-                raise ValueError(f"duplicate levels in {axis_name}")
         for seed in self.seeds:
             if not isinstance(seed, int):
                 raise ValueError("seeds must be integers")
-        for count in self.machines:
-            if count is not None and count < 1:
-                raise ValueError("machines entries must be >= 1 or null")
         if self.num_configs < 1:
             raise ValueError("num_configs must be >= 1")
-        if self.tmax_hours <= 0:
-            raise ValueError("tmax_hours must be positive")
         if self.compare_axis not in COMPARE_AXES:
             raise ValueError(
                 f"compare_axis must be one of {COMPARE_AXES}, "
@@ -289,21 +277,14 @@ class StudySpec:
                 "config_orders shuffle the fixed configuration set; they "
                 "cannot be combined with registry generators"
             )
-        if not self.tenant or not isinstance(self.tenant, str):
-            raise ValueError("tenant must be a non-empty string")
-        if not isinstance(self.priority, int) or isinstance(
-            self.priority, bool
-        ):
-            raise ValueError("priority must be an integer")
-        if self.deadline_hours is not None and self.deadline_hours <= 0:
-            raise ValueError("deadline_hours must be positive when given")
-        if self.budget_slot_hours is not None and self.budget_slot_hours <= 0:
-            raise ValueError("budget_slot_hours must be positive when given")
         if self.gen_seed_mode not in ("fixed", "per-seed"):
             raise ValueError(
                 "gen_seed_mode must be 'fixed' or 'per-seed', "
                 f"not {self.gen_seed_mode!r}"
             )
+        # Every cell validates as a Submission: policy and workload
+        # names, machines, horizon, tenant, priority, deadline, budget.
+        self.cells()
 
     # ------------------------------------------------------------ helpers
 
@@ -333,44 +314,39 @@ class StudySpec:
 
     def cells(self) -> List[Cell]:
         """Expand the grid into cells, in deterministic axis order."""
-        out: List[Cell] = []
-        for workload, policy, generator, machine_count, order, seed in product(
-            self.workloads,
-            self.policies,
-            self.generators,
-            self.machines,
-            self.config_orders,
-            self.seeds,
-        ):
-            out.append(
-                Cell(
-                    study=self.name,
-                    workload=workload,
-                    policy=policy,
-                    generator=generator,
-                    seed=seed,
-                    machines=machine_count,
-                    config_order=order,
-                    num_configs=self.num_configs,
-                    gen_seed=self.gen_seed,
-                    target=self.target,
-                    tmax_hours=self.tmax_hours,
-                    stop_on_target=self.stop_on_target,
-                    budget_slot_hours=self.budget_slot_hours,
-                    gen_seed_mode=self.gen_seed_mode,
+        shared = dict(
+            study=self.name,
+            configs=self.num_configs,
+            gen_seed=self.gen_seed,
+            target=self.target,
+            tmax_hours=self.tmax_hours,
+            stop_on_target=self.stop_on_target,
+            tenant=self.tenant,
+            priority=self.priority,
+            deadline_hours=self.deadline_hours,
+            budget_slot_hours=self.budget_slot_hours,
+            gen_seed_mode=self.gen_seed_mode,
+        )
+        return [
+            Cell(
+                workload=workload, policy=policy, generator=generator,
+                machines=machine_count, config_order=order, seed=seed,
+                **shared,
+            )
+            for workload, policy, generator, machine_count, order, seed in (
+                product(
+                    self.workloads, self.policies, self.generators,
+                    self.machines, self.config_orders, self.seeds,
                 )
             )
-        return out
+        ]
 
     # ------------------------------------------------------------ JSON
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serialisable description (tuples become lists)."""
         out = asdict(self)
-        for axis in (
-            "policies", "workloads", "generators", "seeds", "machines",
-            "config_orders",
-        ):
+        for axis in _AXIS_FIELDS:
             out[axis] = list(out[axis])
         return out
 

@@ -24,36 +24,32 @@ See ``docs/service.md`` for the API reference, store schema, resume
 semantics, and failure modes.
 """
 
-from .client import ServiceClient, ServiceError
-from .daemon import ExperimentService
-from .executor import execute, resume
-from .store import (
-    CANCELLED,
-    COMPLETED,
-    FAILED,
-    INTERRUPTED,
-    QUEUED,
-    RUNNING,
-    TERMINAL_STATUSES,
-    RunRecord,
-    RunStore,
-)
-from .submission import Submission
+import importlib
 
-__all__ = [
-    "CANCELLED",
-    "COMPLETED",
-    "ExperimentService",
-    "FAILED",
-    "INTERRUPTED",
-    "QUEUED",
-    "RUNNING",
-    "RunRecord",
-    "RunStore",
-    "ServiceClient",
-    "ServiceError",
-    "Submission",
-    "TERMINAL_STATUSES",
-    "execute",
-    "resume",
-]
+#: Public name -> submodule.  Loaded on first access, so importing
+#: ``repro.service.submission`` (the lab does) does not pull in the
+#: daemon, ``sqlite3`` or ``http.server``.
+_EXPORTS = {
+    "ServiceClient": "client",
+    "ServiceError": "client",
+    "ExperimentService": "daemon",
+    "execute": "executor",
+    "resume": "executor",
+    **dict.fromkeys(
+        (
+            "CANCELLED", "COMPLETED", "FAILED", "INTERRUPTED", "QUEUED",
+            "RUNNING", "TERMINAL_STATUSES", "RunRecord", "RunStore",
+        ),
+        "store",
+    ),
+    "Submission": "submission",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
+    return getattr(module, name)

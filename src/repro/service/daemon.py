@@ -332,7 +332,9 @@ class ExperimentService:
         self.store.release_waiters()
         if self._pool_autoscaler is not None:
             self._pool_autoscaler.stop()
-        self._server.shutdown()
+        if self._threads:
+            # shutdown() waits for a serve_forever loop: only start() runs one.
+            self._server.shutdown()
         self._server.server_close()
         for thread in self._threads:
             thread.join(timeout=timeout)

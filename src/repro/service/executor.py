@@ -296,10 +296,7 @@ def _run(
     # journaled list — a resumed run sees the identical stream.
     configs = store.minted_configs(exp_id)
     if configs is None:
-        generator = submission.build_generator(workload)
-        configs = [
-            config for _, config in generator.create_jobs(submission.configs)
-        ]
+        configs = submission.mint_configs(workload)
         store.record_configs(exp_id, configs)
 
     recorder = Recorder(exporter=store.journal_exporter(exp_id))

@@ -5,13 +5,15 @@ A :class:`Submission` is what a client POSTs to the daemon (or hands to
 :mod:`repro.registry` plus the experiment parameters.  It is the
 durable, JSON-round-trippable description from which the executor can
 rebuild the run — including after a daemon crash, which is what makes
-``repro resume`` possible.
+``repro resume`` possible.  A Sweep Lab cell
+(:class:`repro.lab.spec.Cell`) is a submission plus three lab-only
+fields, built into a run through the same builders.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from .. import registry
 from ..framework.experiment import ExperimentSpec
@@ -27,7 +29,7 @@ __all__ = ["Submission"]
 _RETIRED = ("predict_workers",)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Submission:
     """One experiment request, as stored by the run store.
 
@@ -54,8 +56,10 @@ class Submission:
             when the slot pool is bounded.
         deadline_hours: soft deadline from admission; approaching it
             raises the experiment's reclaim value (deadline pressure).
-        budget_slot_hours: slot-hour budget; once spent, the broker
-            shrinks the experiment to its one-slot guarantee.
+        budget_slot_hours: slot-hour budget, handed to budget-aware
+            policies (``configure_budget``); once spent, the broker
+            shrinks the experiment to its one-slot guarantee.  Without
+            a broker a budget-blind policy runs past it.
     """
 
     workload: str = "cifar10"
@@ -80,7 +84,7 @@ class Submission:
         for kind, reg, name in (
             ("workload", registry.WORKLOADS, self.workload),
             ("policy", registry.POLICIES, self.policy),
-            ("generator", registry.GENERATORS, self.generator),
+            ("generator", registry.GENERATORS, self.registry_generator),
         ):
             if name not in reg:
                 choices = ", ".join(sorted(reg))
@@ -131,6 +135,11 @@ class Submission:
     # ------------------------------------------------------------- builders
 
     @property
+    def registry_generator(self) -> str:
+        """The :data:`repro.registry.GENERATORS` name minting the configs."""
+        return self.generator
+
+    @property
     def resolved_machines(self) -> int:
         if self.machines is not None:
             return self.machines
@@ -156,11 +165,16 @@ class Submission:
 
     def build_generator(self, workload: Workload) -> HyperparameterGenerator:
         return registry.build_generator(
-            self.generator,
+            self.registry_generator,
             workload,
             max_configs=self.configs,
             gen_seed=self.resolved_gen_seed,
         )
+
+    def mint_configs(self, workload: Workload) -> List[Dict[str, Any]]:
+        """The run's configurations, minted up front in generator order."""
+        generator = self.build_generator(workload)
+        return [config for _, config in generator.create_jobs(self.configs)]
 
     def build_spec(self) -> ExperimentSpec:
         return ExperimentSpec(

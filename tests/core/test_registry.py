@@ -85,3 +85,18 @@ def test_unknown_names_are_rejected_with_choices():
         registry.build_generator(
             "nope", registry.build_workload("cifar10"), max_configs=1
         )
+
+
+@pytest.mark.parametrize("workload_name", sorted(registry.WORKLOADS))
+def test_fixed_cells_mint_the_standard_configs(workload_name):
+    """The lab's "fixed" generator is the registry's random generator at
+    the workload's published seed: the §6.1 standard configuration set,
+    whose seed ``standard_configs`` reads from the same registry."""
+    from repro.analysis.experiments import standard_configs, standard_spec
+    from repro.lab.spec import FIXED_GENERATOR, Cell
+
+    workload = registry.build_workload(workload_name)
+    cell = Cell(study="s", workload=workload_name, generator=FIXED_GENERATOR,
+                configs=5)
+    assert cell.mint_configs(workload) == standard_configs(workload, 5)
+    assert cell.build_spec().num_machines == standard_spec(workload).num_machines

@@ -189,3 +189,64 @@ class TestCellTelemetry:
         runner.run()
         (entry,) = store.journal()
         assert entry["cpu_seconds"] is None
+
+
+def test_budget_stops_a_blind_cell_but_not_its_submission(tmp_path, monkeypatch):
+    """The one way a cell runs differently from the same submission in
+    the service: the lab stops a budget-blind policy once its slot-hour
+    budget is spent, while the service leaves the budget to its broker,
+    so without one the run goes on past that spend."""
+    from dataclasses import asdict, fields
+
+    from repro.framework.scheduler import HyperDriveScheduler
+    from repro.service import executor
+    from repro.service.store import RunStore
+    from repro.service.submission import Submission
+
+    reasons = []
+    stop = HyperDriveScheduler._stop_experiment
+
+    def recording_stop(self, reason="policy"):
+        reasons.append(reason)
+        stop(self, reason)
+
+    monkeypatch.setattr(HyperDriveScheduler, "_stop_experiment", recording_stop)
+
+    def spent(result):
+        return sum(sum(job["durations"]) for job in result["jobs"]) / 3600.0
+
+    (cell,) = fast_spec(
+        policies=("default",), generators=("random",), tmax_hours=2.0,
+        budget_slot_hours=0.5,
+    ).cells()
+    in_lab = execute_cell(asdict(cell))["result"]
+    assert reasons == ["budget_exhausted"]
+    assert spent(in_lab) >= 0.5
+
+    submission = Submission(
+        **{f.name: getattr(cell, f.name) for f in fields(Submission)}
+    )
+    store = RunStore(tmp_path / "runs")
+    in_service = executor.execute(store, store.submit(submission).id).result
+    store.close()
+    assert reasons == ["budget_exhausted"]
+    assert spent(in_service) > spent(in_lab)
+    assert in_service["finished_at"] == 2.0 * 3600.0
+
+
+def test_importing_the_lab_loads_no_daemon():
+    """A study process (and sched_sim's RSS) must not pay for the daemon:
+    the lab imports the run description, not the service package."""
+    import subprocess
+    import sys
+
+    heavy = ("repro.service.daemon", "sqlite3", "http.server")
+    script = (
+        "import sys, repro.lab\n"
+        f"print([name for name in {heavy!r} if name in sys.modules])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -193,7 +193,7 @@ def test_cell_label_mentions_distinguishing_parts():
         seed=3,
         machines=8,
         config_order=5,
-        num_configs=10,
+        configs=10,
         gen_seed=None,
         target=None,
         tmax_hours=1.0,

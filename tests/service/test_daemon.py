@@ -320,3 +320,12 @@ def test_watch_does_not_busy_loop_against_a_daemon_that_ignores_wait():
     assert final["status"] == "completed"
     assert "wait=" in paths[-1]
     assert len(paths) <= elapsed / poll + 2
+
+
+def test_stop_without_start_returns(tmp_path):
+    """stop() must not wait for an HTTP loop that start() never ran."""
+    svc = ExperimentService(tmp_path / "runs", port=0)
+    stopper = threading.Thread(target=svc.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=10)
+    assert not stopper.is_alive()
