@@ -42,11 +42,11 @@ class StaticThresholdPOP(POPPolicy):
                 job.confidence is not None
                 and job.confidence >= self._static_threshold
             )
-            job.promising = is_promising
+            ctx.job_manager.mark_promising(job.job_id, is_promising)
             if is_promising and job.confidence is not None:
                 ctx.job_manager.label_job(job.job_id, job.confidence)
             elif job.priority is not None and not is_promising:
-                job.priority = None
+                ctx.job_manager.label_job(job.job_id, None)
 
 
 def test_ablation_static_threshold(benchmark, store, results_dir):

@@ -333,13 +333,13 @@ class POPPolicy(SchedulingPolicy):
             promising = (
                 category is Category.PROMISING and self.promising_slots > 0
             )
-            job.promising = promising
+            ctx.job_manager.mark_promising(job.job_id, promising)
             if promising and job.confidence is not None:
                 # Label promising jobs with priority = p (§5.3);
                 # subclasses may reweight (e.g. value per dollar).
                 ctx.job_manager.label_job(job.job_id, self._priority_for(job))
             elif job.priority is not None and not promising:
-                job.priority = None
+                ctx.job_manager.label_job(job.job_id, None)
 
         if categories is not None:
             # One audit record per reclassification round: the inputs

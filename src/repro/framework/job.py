@@ -2,16 +2,19 @@
 
 A :class:`Job` is one hyperparameter configuration moving through the
 states PENDING → RUNNING ⇄ SUSPENDED → {TERMINATED, COMPLETED}.  The
-Job Manager enforces legal transitions; everything else reads job
-attributes (history, priority, prediction cache) but mutates through
-the manager.
+Job Manager enforces legal transitions and is the one writer of
+``priority`` and ``promising`` (it keeps the idle queue ordered and the
+promising count by them); everything else reads job attributes
+(history, priority, prediction cache) but mutates through the manager.
+History grows through :meth:`Job.record` and shrinks through
+:meth:`Job.truncate_history`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .events import AppStat
 
@@ -70,6 +73,11 @@ class Job:
     confidence: Optional[float] = None
     expected_remaining_time: Optional[float] = None
     promising: bool = False
+    #: ``(len(history), best metric, total training seconds)`` as of the
+    #: last read; recomputed from the whole history when its length moved.
+    _summary: Optional[Tuple[int, Optional[float], float]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def transition(self, new_state: JobState) -> None:
         """Move to ``new_state``, enforcing the state machine."""
@@ -104,6 +112,8 @@ class Job:
             raise ValueError("cannot truncate to a negative epoch")
         before = self.epochs_completed
         self.history = [stat for stat in self.history if stat.epoch <= epoch]
+        # Re-recorded epochs can bring the length back with new values.
+        self._summary = None
         return before - self.epochs_completed
 
     @property
@@ -115,9 +125,23 @@ class Job:
         """Raw metric series, one entry per completed epoch."""
         return [stat.metric for stat in self.history]
 
+    def _stats(self) -> Tuple[int, Optional[float], float]:
+        # The same max()/sum() over the whole history as an uncached
+        # read, so the values are bit-identical; a running ``+=`` would
+        # not be (``sum`` of floats is compensated since Python 3.12).
+        summary = self._summary
+        if summary is None or summary[0] != len(self.history):
+            history = self.history
+            summary = self._summary = (
+                len(history),
+                max(stat.metric for stat in history) if history else None,
+                sum(stat.duration for stat in history),
+            )
+        return summary
+
     @property
     def best_metric(self) -> Optional[float]:
-        return max(self.metrics) if self.history else None
+        return self._stats()[1]
 
     @property
     def latest_metric(self) -> Optional[float]:
@@ -128,12 +152,12 @@ class Job:
         """Measured average epoch duration (``Epoch_i`` in §3.1.1)."""
         if not self.history:
             return None
-        return sum(stat.duration for stat in self.history) / len(self.history)
+        return self._stats()[2] / len(self.history)
 
     @property
     def total_training_time(self) -> float:
         """Total seconds of training this job has consumed."""
-        return sum(stat.duration for stat in self.history)
+        return self._stats()[2]
 
     @property
     def active(self) -> bool:

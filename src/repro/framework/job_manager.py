@@ -7,17 +7,22 @@ API follows the paper::
     resume_job(job_id, machine_id)
     suspend_job(job_id)
     terminate_job(job_id)
-    label_job(job_id, priority)
+    label_job(job_id, priority)     # None clears the label
+    mark_promising(job_id, flag)
 
 Priority labels order the idle queue (higher first); unlabelled jobs
 are FIFO behind all labelled ones, exactly the behaviour §4.2
-describes for re-queued suspended jobs.
+describes for re-queued suspended jobs.  The queue is a maintained
+index, so no read sorts the pool afresh; that is why ``label_job`` and
+``mark_promising`` (which feeds ``num_promising``) are the only
+writers of ``Job.priority`` and ``Job.promising``.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..observability import NULL_RECORDER
 from .job import Job, JobState
@@ -41,9 +46,15 @@ class JobManager:
         # active again once it leaves.
         self._active: Dict[str, Job] = {}
         self._num_running = 0
-        self._idle: List[str] = []  # job ids; ordered on read by _sort_key
+        self._num_promising = 0  # active jobs with ``promising`` set
+        # The idle jobs in queue order, kept by bisection on each one's
+        # key.  Relabelling an idle job updates its key and marks the
+        # order stale; the next access re-sorts once (a SAP may relabel
+        # its whole queue per decision: one sort beats a move per label).
+        self._idle: List[Job] = []
+        self._idle_key: Dict[str, Tuple[bool, float, int]] = {}
+        self._relabelled = False
         self._fifo_counter = itertools.count()
-        self._enqueue_order: Dict[str, int] = {}
         recorder = recorder if recorder is not None else NULL_RECORDER
         self._m_transitions = recorder.metrics.counter(
             "job_state_transitions_total",
@@ -63,6 +74,8 @@ class JobManager:
             raise ValueError("new jobs must be PENDING")
         self._jobs[job.job_id] = job
         self._active[job.job_id] = job
+        if job.promising:
+            self._num_promising += 1
         self._enqueue(job.job_id)
 
     def get(self, job_id: str) -> Job:
@@ -91,26 +104,44 @@ class JobManager:
         """``len(running_jobs())`` without scanning the pool."""
         return self._num_running
 
+    @property
+    def num_promising(self) -> int:
+        """Active jobs marked promising, without scanning the pool."""
+        return self._num_promising
+
     # ---------------------------------------------------------- idle queue
 
-    def _enqueue(self, job_id: str) -> None:
-        self._enqueue_order[job_id] = next(self._fifo_counter)
-        self._idle.append(job_id)
-        self._m_idle.set(len(self._idle))
-
-    def _dequeue(self, job_id: str) -> None:
-        try:
-            self._idle.remove(job_id)
-        except ValueError:
-            raise ValueError(f"job {job_id!r} is not idle") from None
-        self._m_idle.set(len(self._idle))
-
-    def _sort_key(self, job_id: str):
-        job = self._jobs[job_id]
+    @staticmethod
+    def _queue_key(job: Job, order: int) -> Tuple[bool, float, int]:
         # Labelled jobs first (higher priority first), then FIFO.
         has_priority = job.priority is not None
         priority = job.priority if has_priority else 0.0
-        return (not has_priority, -priority, self._enqueue_order[job_id])
+        return (not has_priority, -priority, order)
+
+    def _key_of(self, job: Job) -> Tuple[bool, float, int]:
+        return self._idle_key[job.job_id]
+
+    def _settle(self) -> None:
+        if self._relabelled:
+            self._idle.sort(key=self._key_of)
+            self._relabelled = False
+
+    def _enqueue(self, job_id: str) -> None:
+        self._settle()
+        job = self._jobs[job_id]
+        key = self._queue_key(job, next(self._fifo_counter))
+        self._idle_key[job_id] = key
+        self._idle.insert(bisect.bisect_left(self._idle, key, key=self._key_of), job)
+        self._m_idle.set(len(self._idle))
+
+    def _dequeue(self, job_id: str) -> None:
+        key = self._idle_key.get(job_id)
+        if key is None:
+            raise ValueError(f"job {job_id!r} is not idle")
+        self._settle()
+        del self._idle[bisect.bisect_left(self._idle, key, key=self._key_of)]
+        del self._idle_key[job_id]
+        self._m_idle.set(len(self._idle))
 
     def get_idle_job(self) -> Optional[Job]:
         """Highest-priority idle job (PENDING or SUSPENDED), else None.
@@ -119,15 +150,13 @@ class JobManager:
         it, so a SAP can inspect the head of the queue without side
         effects.
         """
-        if not self._idle:
-            return None
-        best = min(self._idle, key=self._sort_key)
-        return self._jobs[best]
+        self._settle()
+        return self._idle[0] if self._idle else None
 
     def idle_jobs(self) -> List[Job]:
         """All idle jobs in queue order."""
-        ordered = sorted(self._idle, key=self._sort_key)
-        return [self._jobs[job_id] for job_id in ordered]
+        self._settle()
+        return list(self._idle)
 
     @property
     def num_idle(self) -> int:
@@ -178,11 +207,11 @@ class JobManager:
         """Any live state -> TERMINATED."""
         job = self.get(job_id)
         was_running = job.state is JobState.RUNNING
-        if job_id in self._idle:
+        if job_id in self._idle_key:
             self._dequeue(job_id)
         job.transition(JobState.TERMINATED)
         job.machine_id = None
-        del self._active[job_id]
+        self._retire(job)
         if was_running:
             self._num_running -= 1
         self._m_transitions.inc(to="terminated")
@@ -193,14 +222,35 @@ class JobManager:
         job = self.get(job_id)
         job.transition(JobState.COMPLETED)
         job.machine_id = None
-        del self._active[job_id]
+        self._retire(job)
         self._num_running -= 1
         self._m_transitions.inc(to="completed")
         return job
 
-    def label_job(self, job_id: str, priority: float) -> None:
-        """Attach a scheduling priority to a job (§4.2 ``label_Job``)."""
-        self.get(job_id).priority = float(priority)
+    def _retire(self, job: Job) -> None:
+        """Drop a job that just left play from the active index; its
+        ``promising`` flag stays as the SAP last set it."""
+        del self._active[job.job_id]
+        if job.promising:
+            self._num_promising -= 1
+
+    def label_job(self, job_id: str, priority: Optional[float]) -> None:
+        """Attach a scheduling priority to a job (§4.2 ``label_Job``);
+        ``None`` clears the label, returning the job to FIFO order."""
+        job = self.get(job_id)
+        job.priority = None if priority is None else float(priority)
+        key = self._idle_key.get(job_id)
+        if key is not None:
+            self._idle_key[job_id] = self._queue_key(job, key[2])
+            self._relabelled = True
+
+    def mark_promising(self, job_id: str, promising: bool) -> None:
+        """Set whether a job is in the SAP's promising pool."""
+        job = self.get(job_id)
+        promising = bool(promising)
+        if job.promising != promising and job_id in self._active:
+            self._num_promising += 1 if promising else -1
+        job.promising = promising
 
     # ------------------------------------------------------------- digest
 

@@ -664,7 +664,7 @@ class HyperDriveScheduler:
 
     def _record_pool_snapshot(self, now: float) -> None:
         job_manager = self.job_manager
-        promising = sum(1 for job in job_manager.active_jobs() if job.promising)
+        promising = job_manager.num_promising
         running = job_manager.num_running
         active = job_manager.num_active
         promising_slots = getattr(self.policy, "promising_slots", 0)

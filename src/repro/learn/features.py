@@ -35,7 +35,7 @@ Feature vector (``FEATURE_NAMES`` order):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -173,27 +173,38 @@ def arrays_from_jobs(
 ) -> ConfigStateArrays:
     """Build the state arrays from live Job objects (serve path).
 
-    ``jobs`` order defines row order; ``target`` is raw-scale.
+    ``jobs`` order defines row order; ``target`` is raw-scale.  Each
+    started job contributes three raw values (last, one window ago,
+    best), normalized in one call: the normalization is monotone and
+    elementwise, so the best normalized value is the normalized best.
     """
     n = len(jobs)
     epochs = np.zeros(n, dtype=int)
-    last = np.zeros(n)
-    prev = np.zeros(n)
-    best = np.zeros(n)
     invested = np.zeros(n)
     window = domain.eval_boundary
+    rows: List[int] = []
+    raw: List[Tuple[float, float, float]] = []
+    has_prev: List[bool] = []
     for index, job in enumerate(jobs):
-        history: List[float] = job.metrics
-        k = job.epochs_completed
-        epochs[index] = k
+        epochs[index] = job.epochs_completed
         invested[index] = job.total_training_time
+        history = job.history
         if not history:
             continue
-        normalized = _normalize(domain, np.asarray(history, dtype=float))
-        last[index] = float(normalized[-1])
-        best[index] = float(normalized.max())
-        if len(normalized) > window:
-            prev[index] = float(normalized[-1 - window])
+        rows.append(index)
+        longer = len(history) > window
+        has_prev.append(longer)
+        raw.append((
+            history[-1].metric,
+            history[-1 - window].metric if longer else 0.0,
+            job.best_metric,
+        ))
+    summary = np.zeros((3, n))
+    if rows:
+        normalized = _normalize(domain, np.asarray(raw, dtype=float)).T
+        normalized[1] = np.where(has_prev, normalized[1], 0.0)
+        summary[:, rows] = normalized
+    last, prev, best = summary
     return ConfigStateArrays(
         epochs=epochs,
         last=last,

@@ -15,7 +15,9 @@ axes:
 The tracer keeps a bounded in-memory list of finished spans and offers
 a per-name :meth:`SpanTracer.summary`.  An optional ``on_span`` hook
 fires for every finished span (the :class:`~repro.observability.recorder.Recorder`
-uses it to stream spans to the event exporter).
+uses it to stream spans to the event exporter).  A tracer that neither
+keeps nor exports spans only counts them: each span feeds the summary
+and builds no :class:`Span`, ids or trace context.
 
 Trace propagation
 -----------------
@@ -42,7 +44,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 __all__ = [
     "Span",
@@ -181,6 +183,33 @@ class _ActiveSpan:
         return False
 
 
+class _CountingSpan:
+    """A span nobody keeps or exports: it times itself into the
+    tracer's summary, the same count and seconds an :class:`_ActiveSpan`
+    adds, and nothing else."""
+
+    __slots__ = ("_tracer", "_name", "_start", "_wall_start")
+
+    def __init__(self, tracer: "SpanTracer", name: str, start: float) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._start = start
+        self._wall_start = 0.0
+
+    def set(self, **attributes: Any) -> None:
+        pass
+
+    def __enter__(self) -> "_CountingSpan":
+        self._wall_start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        wall = time.perf_counter() - self._wall_start
+        tracer = self._tracer
+        tracer._count(self._name, wall, tracer._now() - self._start)
+        return False
+
+
 class SpanTracer:
     """Records spans against an injected experiment clock."""
 
@@ -207,23 +236,30 @@ class SpanTracer:
     def _now(self) -> float:
         return self._clock() if self._clock is not None else 0.0
 
-    def span(self, name: str, **attributes: Any) -> _ActiveSpan:
+    def span(
+        self, name: str, **attributes: Any
+    ) -> Union[_ActiveSpan, _CountingSpan]:
         """Open a span; use as a context manager."""
+        if not self.keep_spans and self.on_span is None:
+            return _CountingSpan(self, name, self._now())
         return _ActiveSpan(
             self, Span(name=name, start=self._now(), attributes=attributes)
         )
 
-    def _finish(self, span: Span) -> None:
-        stats = self._summary.get(span.name)
+    def _count(self, name: str, wall: float, experiment: float) -> None:
+        stats = self._summary.get(name)
         if stats is None:
-            stats = self._summary[span.name] = {
+            stats = self._summary[name] = {
                 "count": 0.0,
                 "wall_seconds": 0.0,
                 "experiment_seconds": 0.0,
             }
         stats["count"] += 1
-        stats["wall_seconds"] += span.wall_seconds
-        stats["experiment_seconds"] += span.duration
+        stats["wall_seconds"] += wall
+        stats["experiment_seconds"] += experiment
+
+    def _finish(self, span: Span) -> None:
+        self._count(span.name, span.wall_seconds, span.duration)
         if self.keep_spans and len(self.spans) < self.max_spans:
             self.spans.append(span)
         if self.on_span is not None:

@@ -48,18 +48,19 @@ class SuccessiveHalvingPolicy(SchedulingPolicy):
 
     def allocate_jobs(self) -> None:
         ctx = self.ctx
-        while True:
-            candidates = [
-                job
-                for job in ctx.job_manager.idle_jobs()
-                if job.epochs_completed < self.rung_budget
-            ]
-            if not candidates:
-                return
+        # Starting a job only takes it off the idle queue, so one pass
+        # over the queue sees the candidates in the order a fresh read
+        # before each start would.
+        candidates = [
+            job
+            for job in ctx.job_manager.idle_jobs()
+            if job.epochs_completed < self.rung_budget
+        ]
+        for job in candidates:
             machine_id = ctx.resource_manager.reserve_idle_machine()
             if machine_id is None:
                 return
-            ctx.start(candidates[0].job_id, machine_id)
+            ctx.start(job.job_id, machine_id)
 
     def on_iteration_finish(self, event: IterationFinished) -> Decision:
         ctx = self.ctx
@@ -205,20 +206,19 @@ class HyperBandPolicy(SchedulingPolicy):
         ctx = self.ctx
         self._ensure_brackets()
         self._advance_if_bracket_done()
-        while True:
-            bracket_ids = self._current_bracket_ids()
-            candidates = [
-                job
-                for job in ctx.job_manager.idle_jobs()
-                if job.job_id in bracket_ids
-                and job.epochs_completed < self.rung_budget
-            ]
-            if not candidates:
-                return
+        bracket_ids = self._current_bracket_ids()
+        # One pass over the queue, as in SuccessiveHalvingPolicy.
+        candidates = [
+            job
+            for job in ctx.job_manager.idle_jobs()
+            if job.job_id in bracket_ids
+            and job.epochs_completed < self.rung_budget
+        ]
+        for job in candidates:
             machine_id = ctx.resource_manager.reserve_idle_machine()
             if machine_id is None:
                 return
-            ctx.start(candidates[0].job_id, machine_id)
+            ctx.start(job.job_id, machine_id)
 
     def on_iteration_finish(self, event: IterationFinished) -> Decision:
         ctx = self.ctx

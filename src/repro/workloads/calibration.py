@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, List, Sequence
+from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
 from ..generators.space import SearchSpace
 
-__all__ = ["QualityCalibrator", "config_key", "stable_config_seed"]
+__all__ = ["QualityCalibrator", "config_key", "stable_config_seed", "static_run_parts"]
 
 #: Per-process memo of sorted reference scores, keyed by everything they
 #: depend on: ``(score_fn, space dimensions, n_reference, seed)``.  The
@@ -96,6 +96,7 @@ class QualityCalibrator:
         if n_reference < 10:
             raise ValueError("reference sample too small to calibrate")
         self._score_fn = score_fn
+        self._seed = seed
         self._sorted_scores = _reference_scores(
             space, score_fn, n_reference, seed
         )
@@ -190,3 +191,43 @@ def stable_config_seed(config: Dict[str, Any], salt: int = 0) -> int:
         _FNV_CACHE[encoded] = acc
     acc = ((acc ^ (salt & 0x7FFFFFFF)) * _FNV_PRIME) & _U64_MASK
     return acc & 0x7FFFFFFFFFFFFFFF
+
+
+#: Per-process memo of what a synthetic workload's ``create_run`` derives
+#: from the configuration alone: a lab study or a suspend/resume cycle
+#: creates runs of the same configurations over and over, and only the
+#: noise stream is new.  Cleared when full, like :data:`_FNV_CACHE`.
+_STATIC_CACHE: Dict[Hashable, Tuple[float, np.ndarray, float]] = {}
+_STATIC_CACHE_LIMIT = 4096
+
+
+def static_run_parts(
+    calibrator: QualityCalibrator,
+    space: SearchSpace,
+    config: Dict[str, Any],
+    max_epochs: int,
+    true_curve: Callable[[Dict[str, Any], float, int], np.ndarray],
+    epoch_seconds: Callable[[Dict[str, Any]], float],
+) -> Tuple[float, np.ndarray, float]:
+    """``config``'s calibrated quantile, noiseless curve (read-only) and
+    mean epoch seconds, memoised per process.
+
+    The key is everything they depend on: the calibration (its score
+    function and seed), the configuration's content and ``max_epochs``.
+    Equal configuration keys mean equal values of equal types, so a
+    configuration is validated against ``space`` only when it misses.
+    """
+    key = (
+        calibrator._score_fn, calibrator._seed, config_key(config), max_epochs
+    )
+    parts = _STATIC_CACHE.get(key)
+    if parts is None:
+        space.validate(config)
+        quantile = calibrator.quantile(config)
+        curve = true_curve(config, quantile, max_epochs)
+        curve.setflags(write=False)
+        parts = (quantile, curve, epoch_seconds(config))
+        if len(_STATIC_CACHE) >= _STATIC_CACHE_LIMIT:
+            _STATIC_CACHE.clear()
+        _STATIC_CACHE[key] = parts
+    return parts

@@ -40,7 +40,7 @@ from ..generators.space import (
     Uniform,
 )
 from .base import DomainSpec, EpochResult, TrainingRun, Workload
-from .calibration import QualityCalibrator, stable_config_seed
+from .calibration import QualityCalibrator, stable_config_seed, static_run_parts
 
 __all__ = ["cifar10_space", "Cifar10Workload", "SyntheticSupervisedRun"]
 
@@ -152,13 +152,77 @@ def _final_accuracy_from_quantile(u: float) -> float:
     return 0.75 + (MAX_ACCURACY - 0.75) * frac
 
 
+def _true_curve(
+    config: Dict[str, Any], quantile: float, max_epochs: int
+) -> np.ndarray:
+    """Noiseless accuracy after each epoch ``1..max_epochs``."""
+    shape_rng = np.random.default_rng(stable_config_seed(config, salt=77))
+    final_acc = _final_accuracy_from_quantile(quantile)
+    epochs = np.arange(1, max_epochs + 1, dtype=float)
+
+    if final_acc <= 0.12:
+        # Non-learner: a slow random walk hugging random accuracy.
+        wander = np.cumsum(0.002 * shape_rng.standard_normal(epochs.size))
+        curve = final_acc + wander - wander[-1]
+        return np.clip(curve, 0.05, 0.14)
+
+    # Learner: Hill-type saturating growth.  Learning speed is only
+    # partially tied to quality: lower learning rates slow the rise,
+    # but most of the speed variation is configuration-idiosyncratic.
+    # That independence is what produces the paper's "overtake"
+    # phenomenon (slow configurations with high final accuracy) and
+    # its converse, fast risers that plateau short of the target.
+    lr = float(config["learning_rate"])
+    momentum = float(config["momentum"])
+    eff_lr = math.log10(lr / max(1.0 - momentum, 1e-3))
+    lr_slowness = float(np.clip((-1.8 - eff_lr) / 2.5, 0.0, 1.0))
+    slowness = float(
+        np.clip(0.35 * lr_slowness + 0.65 * shape_rng.random(), 0.0, 1.0)
+    )
+    half = max_epochs * (0.04 + 0.40 * slowness)
+    steep = 1.3 + 1.7 * shape_rng.random()
+    growth = epochs**steep / (epochs**steep + half**steep)
+    growth_at_end = growth[-1]
+
+    curve = RANDOM_ACCURACY + (final_acc - RANDOM_ACCURACY) * (
+        growth / growth_at_end
+    )
+
+    # Learning-rate-step bump, as cuda-convnet style schedules show.
+    step_epoch = int(config["lr_step_epochs"])
+    if step_epoch < max_epochs:
+        bump = 0.015 * shape_rng.random()
+        curve += bump / (1.0 + np.exp(-(epochs - step_epoch) / 2.0))
+        curve = np.minimum(curve, final_acc)
+    return np.clip(curve, 0.0, MAX_ACCURACY)
+
+
+def _mean_epoch_seconds(config: Dict[str, Any]) -> float:
+    """Per-configuration mean epoch duration (~1 minute).
+
+    Larger models and smaller batches cost more; held constant per
+    configuration apart from small per-epoch jitter (§9).
+    """
+    capacity = (
+        float(config["conv1_filters"])
+        * float(config["conv2_filters"])
+        * float(config["conv3_filters"])
+        * float(config["fc_units"])
+    )
+    capacity_factor = (math.log(capacity) - 15.0) / 8.0
+    batch_factor = (128.0 / float(config["batch_size"])) ** 0.15
+    return BASE_EPOCH_SECONDS * (1.0 + 0.3 * capacity_factor) * batch_factor
+
+
 class SyntheticSupervisedRun(TrainingRun):
     """A synthetic CIFAR-10 training run.
 
     The noiseless "true" learning curve is a deterministic function of
     the configuration (via its calibrated quantile); the run seed only
     controls per-epoch observation noise, reproducing the paper's ≤2%
-    run-to-run non-determinism.
+    run-to-run non-determinism.  ``true_curve`` (one entry per epoch)
+    and ``epoch_seconds`` are the configuration's static parts, built
+    by :meth:`Cifar10Workload.create_run`.
     """
 
     def __init__(
@@ -166,80 +230,19 @@ class SyntheticSupervisedRun(TrainingRun):
         config: Dict[str, Any],
         quantile: float,
         seed: int,
-        max_epochs: int = MAX_EPOCHS,
+        true_curve: np.ndarray,
+        epoch_seconds: float,
     ) -> None:
         self._config = dict(config)
         self._quantile = quantile
         self._seed = seed
-        self._max_epochs = max_epochs
+        self._max_epochs = len(true_curve)
         self._epoch = 0
         self._rng = np.random.default_rng(
             stable_config_seed(config, salt=1000 + seed)
         )
-        self._true_curve = self._build_true_curve()
-        self._epoch_seconds = self._mean_epoch_seconds()
-
-    # ----------------------------------------------------- curve synthesis
-
-    def _build_true_curve(self) -> np.ndarray:
-        """Noiseless accuracy after each epoch ``1..max_epochs``."""
-        shape_rng = np.random.default_rng(
-            stable_config_seed(self._config, salt=77)
-        )
-        final_acc = _final_accuracy_from_quantile(self._quantile)
-        epochs = np.arange(1, self._max_epochs + 1, dtype=float)
-
-        if final_acc <= 0.12:
-            # Non-learner: a slow random walk hugging random accuracy.
-            wander = np.cumsum(0.002 * shape_rng.standard_normal(epochs.size))
-            curve = final_acc + wander - wander[-1]
-            return np.clip(curve, 0.05, 0.14)
-
-        # Learner: Hill-type saturating growth.  Learning speed is only
-        # partially tied to quality: lower learning rates slow the rise,
-        # but most of the speed variation is configuration-idiosyncratic.
-        # That independence is what produces the paper's "overtake"
-        # phenomenon (slow configurations with high final accuracy) and
-        # its converse, fast risers that plateau short of the target.
-        lr = float(self._config["learning_rate"])
-        momentum = float(self._config["momentum"])
-        eff_lr = math.log10(lr / max(1.0 - momentum, 1e-3))
-        lr_slowness = float(np.clip((-1.8 - eff_lr) / 2.5, 0.0, 1.0))
-        slowness = float(
-            np.clip(0.35 * lr_slowness + 0.65 * shape_rng.random(), 0.0, 1.0)
-        )
-        half = self._max_epochs * (0.04 + 0.40 * slowness)
-        steep = 1.3 + 1.7 * shape_rng.random()
-        growth = epochs**steep / (epochs**steep + half**steep)
-        growth_at_end = growth[-1]
-
-        curve = RANDOM_ACCURACY + (final_acc - RANDOM_ACCURACY) * (
-            growth / growth_at_end
-        )
-
-        # Learning-rate-step bump, as cuda-convnet style schedules show.
-        step_epoch = int(self._config["lr_step_epochs"])
-        if step_epoch < self._max_epochs:
-            bump = 0.015 * shape_rng.random()
-            curve += bump / (1.0 + np.exp(-(epochs - step_epoch) / 2.0))
-            curve = np.minimum(curve, final_acc)
-        return np.clip(curve, 0.0, MAX_ACCURACY)
-
-    def _mean_epoch_seconds(self) -> float:
-        """Per-configuration mean epoch duration (~1 minute).
-
-        Larger models and smaller batches cost more; held constant per
-        configuration apart from small per-epoch jitter (§9).
-        """
-        capacity = (
-            float(self._config["conv1_filters"])
-            * float(self._config["conv2_filters"])
-            * float(self._config["conv3_filters"])
-            * float(self._config["fc_units"])
-        )
-        capacity_factor = (math.log(capacity) - 15.0) / 8.0
-        batch_factor = (128.0 / float(self._config["batch_size"])) ** 0.15
-        return BASE_EPOCH_SECONDS * (1.0 + 0.3 * capacity_factor) * batch_factor
+        self._true_curve = true_curve
+        self._epoch_seconds = epoch_seconds
 
     # -------------------------------------------------------- TrainingRun
 
@@ -266,7 +269,7 @@ class SyntheticSupervisedRun(TrainingRun):
         self._epoch += 1
         true_value = float(self._true_curve[self._epoch - 1])
         observed = true_value + 0.008 * float(self._rng.standard_normal())
-        observed = float(np.clip(observed, 0.0, 1.0))
+        observed = min(max(observed, 0.0), 1.0)
         duration = self._epoch_seconds * float(
             1.0 + 0.03 * self._rng.standard_normal()
         )
@@ -341,9 +344,14 @@ class Cifar10Workload(Workload):
     def create_run(
         self, config: Dict[str, Any], seed: int = 0
     ) -> SyntheticSupervisedRun:
-        self._space.validate(config)
+        quantile, curve, epoch_seconds = static_run_parts(
+            self._calibrator, self._space, config, MAX_EPOCHS,
+            _true_curve, _mean_epoch_seconds,
+        )
         return SyntheticSupervisedRun(
             config=config,
-            quantile=self._calibrator.quantile(config),
+            quantile=quantile,
             seed=seed,
+            true_curve=curve,
+            epoch_seconds=epoch_seconds,
         )

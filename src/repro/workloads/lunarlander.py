@@ -33,7 +33,7 @@ from ..generators.space import (
     Uniform,
 )
 from .base import DomainSpec, EpochResult, TrainingRun, Workload
-from .calibration import QualityCalibrator, stable_config_seed
+from .calibration import QualityCalibrator, stable_config_seed, static_run_parts
 
 __all__ = ["lunarlander_space", "LunarLanderWorkload", "SyntheticRLRun"]
 
@@ -109,12 +109,81 @@ def _score(config: Dict[str, Any]) -> float:
     return score
 
 
+def _true_curve(
+    config: Dict[str, Any], quantile: float, max_epochs: int
+) -> np.ndarray:
+    """Noiseless mean-reward trajectory per 100-trial epoch."""
+    shape_rng = np.random.default_rng(stable_config_seed(config, salt=91))
+    u = quantile
+    epochs = np.arange(1, max_epochs + 1, dtype=float)
+
+    if u < _NON_LEARNER_BAND:
+        # Never learns: wanders between random-policy reward and the
+        # crash floor, ending at or below the -100 non-learning value.
+        base = RANDOM_REWARD + 120.0 * (u / _NON_LEARNER_BAND - 0.5)
+        wander = np.cumsum(4.0 * shape_rng.standard_normal(epochs.size))
+        curve = base + wander - wander[-1] * (epochs / epochs[-1])
+        return np.clip(curve, REWARD_MIN, CRASH_REWARD + 30.0)
+
+    lr = math.log10(float(config["learning_rate"]))
+    lr_slowness = float(np.clip((-3.2 - lr) / 1.8, 0.0, 1.0))
+    # As with CIFAR-10, learning speed is mostly idiosyncratic so
+    # that quality and speed decouple (overtakers exist).
+    slowness = float(
+        np.clip(0.4 * lr_slowness + 0.6 * shape_rng.random(), 0.0, 1.0)
+    )
+    half = max_epochs * (0.10 + 0.35 * slowness)
+    steep = 1.5 + 1.5 * shape_rng.random()
+    growth = epochs**steep / (epochs**steep + half**steep)
+    growth = growth / growth[-1]
+
+    if u < _CRASH_BAND:
+        # Learning-crash: climbs toward a modest peak, then collapses
+        # to the crash floor and stays (Fig. 8's signature shape).
+        frac = (u - _NON_LEARNER_BAND) / (_CRASH_BAND - _NON_LEARNER_BAND)
+        peak = -60.0 + 180.0 * frac
+        crash_epoch = int(max_epochs * (0.15 + 0.45 * shape_rng.random()))
+        curve = RANDOM_REWARD + (peak - RANDOM_REWARD) * growth
+        after = np.arange(crash_epoch, max_epochs)
+        drop = CRASH_REWARD - 40.0 * shape_rng.random()
+        # Collapse over ~5 epochs, then flat at the crash floor.
+        for offset, idx in enumerate(after):
+            blend = min(1.0, offset / 5.0)
+            curve[idx] = (1.0 - blend) * curve[idx] + blend * drop
+        return np.clip(curve, REWARD_MIN, REWARD_MAX)
+
+    if u < _SOLVER_BAND:
+        # Partial learner: plateaus clearly below the solved
+        # threshold (the gap keeps 100-trial-mean noise from
+        # spuriously "solving" the task).
+        frac = (u - _CRASH_BAND) / (_SOLVER_BAND - _CRASH_BAND)
+        plateau = -50.0 + (SOLVED_REWARD - 30.0 - (-50.0)) * frac
+    else:
+        # Solver: plateau above 200, up to ~280.
+        frac = (u - _SOLVER_BAND) / (1.0 - _SOLVER_BAND)
+        plateau = 205.0 + 75.0 * frac
+
+    curve = RANDOM_REWARD + (plateau - RANDOM_REWARD) * growth
+    return np.clip(curve, REWARD_MIN, REWARD_MAX)
+
+
+def _mean_epoch_seconds(config: Dict[str, Any]) -> float:
+    """Mean seconds per 100-trial epoch (CPU training, §6.1)."""
+    capacity = math.log(float(config["hidden1"]) * float(config["hidden2"]))
+    capacity_factor = (capacity - 9.0) / 6.0
+    batch_factor = (float(config["batch_size"]) / 64.0) ** 0.2
+    return BASE_EPOCH_SECONDS * (1.0 + 0.4 * capacity_factor) * batch_factor
+
+
 class SyntheticRLRun(TrainingRun):
     """A synthetic LunarLander training run.
 
     One :meth:`step` simulates 100 episode trials and reports their
     mean reward, so the solved condition ("average reward of 200 over
     100 consecutive trials") reads directly off the epoch metric.
+    ``true_curve`` (one entry per epoch) and ``epoch_seconds`` are the
+    configuration's static parts, built by
+    :meth:`LunarLanderWorkload.create_run`.
     """
 
     def __init__(
@@ -122,86 +191,19 @@ class SyntheticRLRun(TrainingRun):
         config: Dict[str, Any],
         quantile: float,
         seed: int,
-        max_epochs: int = MAX_EPOCHS,
+        true_curve: np.ndarray,
+        epoch_seconds: float,
     ) -> None:
         self._config = dict(config)
         self._quantile = quantile
         self._seed = seed
-        self._max_epochs = max_epochs
+        self._max_epochs = len(true_curve)
         self._epoch = 0
         self._rng = np.random.default_rng(
             stable_config_seed(config, salt=5000 + seed)
         )
-        self._true_curve = self._build_true_curve()
-        self._epoch_seconds = self._mean_epoch_seconds()
-
-    def _build_true_curve(self) -> np.ndarray:
-        """Noiseless mean-reward trajectory per 100-trial epoch."""
-        shape_rng = np.random.default_rng(
-            stable_config_seed(self._config, salt=91)
-        )
-        u = self._quantile
-        epochs = np.arange(1, self._max_epochs + 1, dtype=float)
-
-        if u < _NON_LEARNER_BAND:
-            # Never learns: wanders between random-policy reward and the
-            # crash floor, ending at or below the -100 non-learning value.
-            base = RANDOM_REWARD + 120.0 * (u / _NON_LEARNER_BAND - 0.5)
-            wander = np.cumsum(4.0 * shape_rng.standard_normal(epochs.size))
-            curve = base + wander - wander[-1] * (epochs / epochs[-1])
-            return np.clip(curve, REWARD_MIN, CRASH_REWARD + 30.0)
-
-        lr = math.log10(float(self._config["learning_rate"]))
-        lr_slowness = float(np.clip((-3.2 - lr) / 1.8, 0.0, 1.0))
-        # As with CIFAR-10, learning speed is mostly idiosyncratic so
-        # that quality and speed decouple (overtakers exist).
-        slowness = float(
-            np.clip(0.4 * lr_slowness + 0.6 * shape_rng.random(), 0.0, 1.0)
-        )
-        half = self._max_epochs * (0.10 + 0.35 * slowness)
-        steep = 1.5 + 1.5 * shape_rng.random()
-        growth = epochs**steep / (epochs**steep + half**steep)
-        growth = growth / growth[-1]
-
-        if u < _CRASH_BAND:
-            # Learning-crash: climbs toward a modest peak, then collapses
-            # to the crash floor and stays (Fig. 8's signature shape).
-            frac = (u - _NON_LEARNER_BAND) / (_CRASH_BAND - _NON_LEARNER_BAND)
-            peak = -60.0 + 180.0 * frac
-            crash_epoch = int(
-                self._max_epochs * (0.15 + 0.45 * shape_rng.random())
-            )
-            curve = RANDOM_REWARD + (peak - RANDOM_REWARD) * growth
-            after = np.arange(crash_epoch, self._max_epochs)
-            drop = CRASH_REWARD - 40.0 * shape_rng.random()
-            # Collapse over ~5 epochs, then flat at the crash floor.
-            for offset, idx in enumerate(after):
-                blend = min(1.0, offset / 5.0)
-                curve[idx] = (1.0 - blend) * curve[idx] + blend * drop
-            return np.clip(curve, REWARD_MIN, REWARD_MAX)
-
-        if u < _SOLVER_BAND:
-            # Partial learner: plateaus clearly below the solved
-            # threshold (the gap keeps 100-trial-mean noise from
-            # spuriously "solving" the task).
-            frac = (u - _CRASH_BAND) / (_SOLVER_BAND - _CRASH_BAND)
-            plateau = -50.0 + (SOLVED_REWARD - 30.0 - (-50.0)) * frac
-        else:
-            # Solver: plateau above 200, up to ~280.
-            frac = (u - _SOLVER_BAND) / (1.0 - _SOLVER_BAND)
-            plateau = 205.0 + 75.0 * frac
-
-        curve = RANDOM_REWARD + (plateau - RANDOM_REWARD) * growth
-        return np.clip(curve, REWARD_MIN, REWARD_MAX)
-
-    def _mean_epoch_seconds(self) -> float:
-        """Mean seconds per 100-trial epoch (CPU training, §6.1)."""
-        capacity = math.log(
-            float(self._config["hidden1"]) * float(self._config["hidden2"])
-        )
-        capacity_factor = (capacity - 9.0) / 6.0
-        batch_factor = (float(self._config["batch_size"]) / 64.0) ** 0.2
-        return BASE_EPOCH_SECONDS * (1.0 + 0.4 * capacity_factor) * batch_factor
+        self._true_curve = true_curve
+        self._epoch_seconds = epoch_seconds
 
     # -------------------------------------------------------- TrainingRun
 
@@ -234,7 +236,7 @@ class SyntheticRLRun(TrainingRun):
         true_value = float(self._true_curve[self._epoch - 1])
         # Standard error of a 100-trial mean with per-trial spread ~80.
         observed = true_value + 8.0 * float(self._rng.standard_normal())
-        observed = float(np.clip(observed, REWARD_MIN, REWARD_MAX))
+        observed = min(max(observed, REWARD_MIN), REWARD_MAX)
         duration = self._epoch_seconds * float(
             1.0 + 0.05 * self._rng.standard_normal()
         )
@@ -310,9 +312,14 @@ class LunarLanderWorkload(Workload):
         return self._calibrator.quantile(config)
 
     def create_run(self, config: Dict[str, Any], seed: int = 0) -> SyntheticRLRun:
-        self._space.validate(config)
+        quantile, curve, epoch_seconds = static_run_parts(
+            self._calibrator, self._space, config, MAX_EPOCHS,
+            _true_curve, _mean_epoch_seconds,
+        )
         return SyntheticRLRun(
             config=config,
-            quantile=self._calibrator.quantile(config),
+            quantile=quantile,
             seed=seed,
+            true_curve=curve,
+            epoch_seconds=epoch_seconds,
         )

@@ -214,8 +214,8 @@ def test_allocate_jobs_prefers_promising_pool(harness, policy):
     harness.jm.suspend_job("j1")
     harness.rm.release_machine("machine-01")
     j1.confidence = 0.9
-    j1.promising = True
-    j1.priority = 0.9
+    harness.jm.mark_promising("j1", True)
+    harness.jm.label_job("j1", 0.9)
     policy.promising_slots = 1
     policy.allocate_jobs()
     # j1 (promising) starts first despite j0's earlier FIFO position.

@@ -21,6 +21,14 @@ class JobManagerMachine(RuleBasedStateMachine):
         self.jm = JobManager()
         self.counter = 0
         self.machine_counter = 0
+        # Enqueue order, tracked here: a job is queued when added and
+        # again each time it is suspended.
+        self.enqueue_counter = 0
+        self.enqueued = {}
+
+    def _enqueued(self, job):
+        self.enqueued[job.job_id] = self.enqueue_counter
+        self.enqueue_counter += 1
 
     # ------------------------------------------------------------- helpers
 
@@ -34,6 +42,7 @@ class JobManagerMachine(RuleBasedStateMachine):
         job = Job(job_id=f"j{self.counter}", config={"i": self.counter})
         self.counter += 1
         self.jm.add_job(job)
+        self._enqueued(job)
 
     @rule(data=st.data())
     def start_idle_job(self, data):
@@ -54,6 +63,7 @@ class JobManagerMachine(RuleBasedStateMachine):
             return
         job = data.draw(st.sampled_from(running))
         self.jm.suspend_job(job.job_id)
+        self._enqueued(job)
         assert job.machine_id is None
 
     @rule(data=st.data())
@@ -95,6 +105,49 @@ class JobManagerMachine(RuleBasedStateMachine):
         self.jm.label_job(job.job_id, priority)
         assert job.priority == priority
 
+    @rule(data=st.data())
+    def clear_some_label(self, data):
+        labelled = [job for job in self.jm.jobs() if job.priority is not None]
+        if not labelled:
+            return
+        job = data.draw(st.sampled_from(labelled))
+        self.jm.label_job(job.job_id, None)
+        assert job.priority is None
+
+    @rule(data=st.data(), priority=st.floats(min_value=0.0, max_value=1.0))
+    def tie_two_idle_jobs(self, data, priority):
+        idle = [job.job_id for job in self.jm.idle_jobs()]
+        if len(idle) < 2:
+            return
+        pair = data.draw(
+            st.lists(st.sampled_from(idle), min_size=2, max_size=2, unique=True)
+        )
+        for job_id in pair:
+            self.jm.label_job(job_id, priority)
+
+    @rule(data=st.data(), promising=st.booleans())
+    def mark_some_job(self, data, promising):
+        jobs = self.jm.jobs()
+        if not jobs:
+            return
+        job = data.draw(st.sampled_from(jobs))
+        self.jm.mark_promising(job.job_id, promising)
+        assert job.promising is promising
+
+    @rule(data=st.data())
+    def retire_promising_job(self, data):
+        promising = [
+            job for job in self.jm.active_jobs() if job.promising
+        ]
+        if not promising:
+            return
+        job = data.draw(st.sampled_from(promising))
+        if job.state is JobState.RUNNING and data.draw(st.booleans()):
+            self.jm.complete_job(job.job_id)
+        else:
+            self.jm.terminate_job(job.job_id)
+        assert job.promising
+
     # ----------------------------------------------------------- invariants
 
     @invariant()
@@ -125,6 +178,29 @@ class JobManagerMachine(RuleBasedStateMachine):
         assert labels == sorted(labels, reverse=True)
         labelled = [j.priority for j in ordered if j.priority is not None]
         assert labelled == sorted(labelled, reverse=True)
+
+    @invariant()
+    def idle_jobs_in_reference_order(self):
+        """The maintained queue equals a sort of the idle set by the
+        key the queue was once sorted by on every read."""
+
+        def key(job):
+            has_priority = job.priority is not None
+            priority = job.priority if has_priority else 0.0
+            return (not has_priority, -priority, self.enqueued[job.job_id])
+
+        expected = sorted(
+            self._jobs_in(JobState.PENDING, JobState.SUSPENDED), key=key
+        )
+        ordered = self.jm.idle_jobs()
+        assert [job.job_id for job in ordered] == [
+            job.job_id for job in expected
+        ]
+
+    @invariant()
+    def promising_count_matches_scan(self):
+        scanned = sum(1 for job in self.jm.jobs() if job.active and job.promising)
+        assert self.jm.num_promising == scanned
 
     @invariant()
     def running_jobs_have_machines(self):

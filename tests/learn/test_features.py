@@ -1,5 +1,7 @@
 """Feature schema and featurization invariants (train/serve contract)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,8 @@ class TestArraysFromJobs:
         class FakeJob:
             def __init__(self, metrics, seconds):
                 self.metrics = list(metrics)
+                self.history = [SimpleNamespace(metric=m) for m in metrics]
+                self.best_metric = max(metrics) if metrics else None
                 self.epochs_completed = len(metrics)
                 self.total_training_time = seconds
 
@@ -117,3 +121,87 @@ class TestArraysFromJobs:
         # ConfigStateArrays — shared code, no skew by construction.
         features = feature_matrix(state)
         assert features.shape == (2, len(FEATURE_NAMES))
+
+
+def _reference_arrays(jobs, domain):
+    """The full-history serve path: normalize every job's whole metric
+    series, then read last, one window ago and best off it."""
+    from repro.metrics.stats import minmax_normalize
+
+    window = domain.eval_boundary
+    n = len(jobs)
+    epochs = np.zeros(n, dtype=int)
+    last, prev, best, invested = (np.zeros(n) for _ in range(4))
+    for index, job in enumerate(jobs):
+        history = [stat.metric for stat in job.history]
+        epochs[index] = job.history[-1].epoch if job.history else 0
+        invested[index] = sum(stat.duration for stat in job.history)
+        if not history:
+            continue
+        values = np.asarray(history, dtype=float)
+        if domain.normalizes:
+            normalized = minmax_normalize(values, domain.r_min, domain.r_max)
+        else:
+            normalized = np.clip(values, 0.0, 1.0)
+        last[index] = float(normalized[-1])
+        best[index] = float(normalized.max())
+        if len(normalized) > window:
+            prev[index] = float(normalized[-1 - window])
+    return epochs, last, prev, best, invested
+
+
+@pytest.mark.parametrize(
+    "workload_name, low, high",
+    # Both sides of each domain's normalization: cifar10 clips to
+    # [0, 1], lunarlander min-max scales [-500, 300] and clips.
+    [("cifar10", -0.2, 1.2), ("lunarlander", -700.0, 450.0)],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_arrays_from_jobs_equals_full_history_reference(
+    workload_name, low, high, seed
+):
+    from repro.framework.events import AppStat
+    from repro.framework.job import Job
+
+    domain = build_workload(workload_name).domain
+    window = domain.eval_boundary
+    rng = np.random.default_rng(seed)
+
+    def record(job, count):
+        start = job.epochs_completed
+        for epoch in range(start + 1, start + count + 1):
+            job.record(AppStat(
+                job_id=job.job_id,
+                epoch=epoch,
+                metric=float(rng.uniform(low, high)),
+                duration=float(rng.uniform(1.0, 90.0)),
+                timestamp=0.0,
+                machine_id="m0",
+            ))
+
+    jobs = [Job(job_id=f"j{i}", config={}) for i in range(12)]
+    for job in jobs:
+        record(job, int(rng.integers(0, 3 * window)))
+
+    def check():
+        state = arrays_from_jobs(
+            jobs, domain=domain, elapsed=500.0, tmax=7200.0, slots=4,
+            target=domain.target,
+        )
+        epochs, last, prev, best, invested = _reference_arrays(jobs, domain)
+        np.testing.assert_array_equal(state.epochs, epochs)
+        np.testing.assert_array_equal(state.last, last)
+        np.testing.assert_array_equal(state.prev, prev)
+        np.testing.assert_array_equal(state.best, best)
+        np.testing.assert_array_equal(state.invested, invested)
+
+    check()
+    # Truncate (a machine failure) and re-record the lost epochs with
+    # new values: the history regains its old length, so a summary
+    # keyed on length alone would go stale.
+    for job in jobs:
+        record(job, job.truncate_history(int(rng.integers(0, window))))
+    check()
+    for job in jobs:
+        job.truncate_history(int(rng.integers(0, window)))
+    check()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro import registry
 from repro.core.pop import POPPolicy
 from repro.framework.experiment import ExperimentSpec
 from repro.framework.policy_api import PolicyContext
@@ -10,17 +13,33 @@ from repro.observability import NULL_RECORDER, NullRecorder, Recorder
 from repro.sim.runner import run_simulation
 
 
-def _run(cifar10_workload, fast_predictor, recorder):
+def _run(cifar10_workload, fast_predictor, recorder, policy=None):
     generator = RandomGenerator(cifar10_workload.space, seed=11, max_configs=8)
     spec = ExperimentSpec(num_machines=3, num_configs=8, seed=0, tmax=4 * 3600.0)
     return run_simulation(
         cifar10_workload,
-        POPPolicy(),
+        policy if policy is not None else POPPolicy(),
         generator=generator,
         spec=spec,
         predictor=fast_predictor,
         recorder=recorder,
     )
+
+
+def _assert_recorder_invisible(cifar10_workload, fast_predictor, policy):
+    baseline = _run(
+        cifar10_workload, fast_predictor, recorder=None,
+        policy=registry.build_policy(policy),
+    )
+    observed = _run(
+        cifar10_workload, fast_predictor, recorder=Recorder(),
+        policy=registry.build_policy(policy),
+    )
+    a = baseline.to_dict()
+    b = observed.to_dict()
+    assert a.pop("observability") is None
+    assert b.pop("observability") is not None
+    assert a == b
 
 
 class TestNoopRecorder:
@@ -39,13 +58,15 @@ class TestNoopRecorder:
     def test_live_recorder_changes_only_the_observability_digest(
         self, cifar10_workload, fast_predictor
     ):
-        baseline = _run(cifar10_workload, fast_predictor, recorder=None)
-        observed = _run(cifar10_workload, fast_predictor, recorder=Recorder())
-        a = baseline.to_dict()
-        b = observed.to_dict()
-        assert a.pop("observability") is None
-        assert b.pop("observability") is not None
-        assert a == b
+        _assert_recorder_invisible(cifar10_workload, fast_predictor, "pop")
+
+    @pytest.mark.parametrize(
+        "policy", sorted(set(registry.POLICIES) - {"pop"})
+    )
+    def test_live_recorder_changes_only_the_digest_of_any_policy(
+        self, cifar10_workload, fast_predictor, policy
+    ):
+        _assert_recorder_invisible(cifar10_workload, fast_predictor, policy)
 
     def test_null_recorder_is_fully_inert(self):
         NULL_RECORDER.metrics.counter("anything").inc(reason="x")

@@ -73,6 +73,38 @@ class TestSpanTracer:
         assert tracer.spans == []
         assert tracer.summary()["op"]["count"] == 1
 
+    def test_counting_span_summarises_like_a_kept_span(self):
+        """A tracer that neither keeps nor exports builds no Span, ids
+        or trace context, and its summary holds the same count and
+        experiment seconds as a keeping tracer fed the same spans."""
+        from repro.observability.tracing import current_trace
+
+        clocks = {"kept": FakeClock(), "counted": FakeClock()}
+        tracers = {
+            "kept": SpanTracer(clock=clocks["kept"]),
+            "counted": SpanTracer(clock=clocks["counted"], keep_spans=False),
+        }
+        steps = [0.1, 2.5, 0.0, 1e-3, 7.25, 0.3]
+        for side, tracer in tracers.items():
+            clock = clocks[side]
+            for index, step in enumerate(steps):
+                clock.now += 0.7  # the clock moves between spans too
+                with tracer.span("op" if index % 3 else "fit", n=index) as span:
+                    span.set(step=step)
+                    if side == "counted":
+                        assert current_trace() is None
+                    clock.now += step
+        kept = tracers["kept"].summary()
+        counted = tracers["counted"].summary()
+        assert tracers["counted"].spans == []
+        assert counted.keys() == kept.keys()
+        for name in kept:
+            assert counted[name]["count"] == kept[name]["count"]
+            assert (
+                counted[name]["experiment_seconds"]
+                == kept[name]["experiment_seconds"]
+            )
+
     def test_max_spans_bounds_memory(self):
         tracer = SpanTracer(clock=FakeClock(), max_spans=2)
         for _ in range(5):

@@ -79,3 +79,27 @@ def test_best_survivor_quality(cifar10_workload):
     index = int(longest.job_id.split("-")[1])
     # The most-trained config is in the top half of true quality.
     assert finals[index] >= sorted(finals)[len(finals) // 2]
+
+
+@pytest.mark.parametrize("policy_name", ["successive-halving", "hyperband"])
+def test_allocation_starts_idle_jobs_in_queue_order(cifar10_workload, policy_name):
+    """An allocation round starts its candidates head of the queue
+    first: the initial round takes the first jobs in FIFO order."""
+    from repro import registry
+    from repro.framework.events import LifecycleKind
+
+    configs = standard_configs(cifar10_workload, 12)
+    result = run_simulation(
+        cifar10_workload,
+        registry.build_policy(policy_name),
+        configs=configs,
+        spec=ExperimentSpec(
+            num_machines=3, num_configs=12, seed=0, stop_on_target=False
+        ),
+    )
+    created = [job.job_id for job in result.jobs]
+    first_round = [
+        event.job_id for event in result.lifecycle
+        if event.kind is LifecycleKind.STARTED and event.timestamp == 0.0
+    ]
+    assert first_round == created[:3]

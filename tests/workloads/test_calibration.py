@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.generators.space import SearchSpace, Uniform
-from repro.workloads import calibration, cifar10
+from repro.workloads import calibration, cifar10, lunarlander
 from repro.workloads.calibration import QualityCalibrator, config_key
 from repro.workloads.cifar10 import Cifar10Workload, _score, cifar10_space
 from repro.workloads.lstm_sparsity import LSTMSparsityWorkload, lstm_space
@@ -156,3 +156,77 @@ def test_priming_never_grows_the_fnv_memo_past_its_bound(prefilled, monkeypatch)
     for key, acc in memo.items():
         if not key.startswith("k"):
             assert acc == calibration._fnv_accumulate(key)
+
+
+def _stream(run):
+    return [run.step() for _ in range(run._max_epochs)]
+
+
+@pytest.mark.parametrize(
+    "module, workload_class, run_class",
+    [
+        (cifar10, Cifar10Workload, cifar10.SyntheticSupervisedRun),
+        (lunarlander, LunarLanderWorkload, lunarlander.SyntheticRLRun),
+    ],
+    ids=["cifar10", "lunarlander"],
+)
+def test_memoised_runs_step_out_the_memo_free_stream(
+    module, workload_class, run_class, monkeypatch
+):
+    monkeypatch.setattr(calibration, "_STATIC_CACHE", {})
+    workload = workload_class()
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        config = workload.space.sample(rng)
+        quantile = workload._calibrator.quantile(config)
+        by_hand = run_class(
+            config=config,
+            quantile=quantile,
+            seed=5,
+            true_curve=module._true_curve(config, quantile, module.MAX_EPOCHS),
+            epoch_seconds=module._mean_epoch_seconds(config),
+        )
+        first = workload.create_run(config, seed=5)
+        second = workload.create_run(dict(config), seed=5)  # a memo hit
+        assert second._true_curve is first._true_curve
+        assert not first._true_curve.flags.writeable
+        expected = _stream(by_hand)
+        assert _stream(first) == expected
+        assert _stream(second) == expected
+        # Resuming a memo-built run from a snapshot continues the stream.
+        resumed = workload.create_run(config, seed=5)
+        half = module.MAX_EPOCHS // 2
+        for _ in range(half):
+            resumed.step()
+        state = resumed.snapshot_state()
+        restored = workload.create_run(config, seed=5)
+        restored.restore_state(state)
+        assert [restored.step() for _ in range(half)] == expected[half:2 * half]
+
+
+def test_calibration_seeds_never_share_a_static_entry(monkeypatch):
+    monkeypatch.setattr(calibration, "_STATIC_CACHE", {})
+    config = cifar10_space().sample(np.random.default_rng(8))
+    default = Cifar10Workload()
+    other = Cifar10Workload(calibration_seed=7)
+    runs = [default.create_run(config), other.create_run(config)]
+    assert len(calibration._STATIC_CACHE) == 2
+    assert runs[0]._quantile == default.quality_quantile(config)
+    assert runs[1]._quantile == other.quality_quantile(config)
+    assert runs[0]._true_curve is not runs[1]._true_curve
+    # The same seed on another workload is another entry too.
+    lunar = LunarLanderWorkload(calibration_seed=20170711)
+    lunar.create_run(lunarlander_space().sample(np.random.default_rng(8)))
+    assert len(calibration._STATIC_CACHE) == 3
+
+
+def test_static_memo_stays_at_its_bound(monkeypatch):
+    monkeypatch.setattr(calibration, "_STATIC_CACHE", {})
+    monkeypatch.setattr(calibration, "_STATIC_CACHE_LIMIT", 5)
+    workload = Cifar10Workload()
+    rng = np.random.default_rng(4)
+    configs = [workload.space.sample(rng) for _ in range(23)]
+    for config in configs + configs:
+        run = workload.create_run(config, seed=1)
+        assert len(calibration._STATIC_CACHE) <= 5
+        assert run._quantile == workload.quality_quantile(config)
