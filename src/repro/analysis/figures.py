@@ -185,7 +185,7 @@ def promising_ratio_timeline(
 
     Returns (bucket_end_times, mean_ratio_per_bucket).
     """
-    timeline = result.pool_timeline
+    timeline = list(result.pool_timeline)
     if not timeline:
         return np.array([]), np.array([])
     end = max(snapshot.timestamp for snapshot in timeline)

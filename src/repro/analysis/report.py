@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Union
 
 import numpy as np
 
-from ..framework.experiment import ExperimentResult
+from ..framework.experiment import ExperimentResult, PoolTimeline
 from .render import sparkline
 
 __all__ = ["render_report", "report_from_json"]
@@ -93,14 +93,11 @@ def _suspend_summary(record: Dict[str, Any]) -> List[str]:
 
 
 def _pool_timeline(record: Dict[str, Any]) -> List[str]:
-    timeline = record["pool_timeline"]
-    if not timeline:
-        return []
-    ratios = [
-        snapshot["promising"] / snapshot["active"]
-        for snapshot in timeline
-        if snapshot["active"] > 0
-    ]
+    timeline = PoolTimeline.from_dict(record["pool_timeline"])
+    ratios: List[float] = []
+    for start, end, (promising, _, active, _) in timeline.runs():
+        if active > 0:
+            ratios += [promising / active] * (end - start)
     if not ratios:
         return []
     return [

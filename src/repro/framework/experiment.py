@@ -10,15 +10,17 @@ paper's figures are computed from.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..framework.events import LifecycleEvent
 from ..framework.job import Job
 from ..framework.snapshot import Snapshot
 
-__all__ = ["ExperimentSpec", "PoolSnapshot", "ExperimentResult"]
+__all__ = ["ExperimentSpec", "PoolSnapshot", "PoolTimeline", "ExperimentResult"]
 
 
 @dataclass
@@ -136,6 +138,123 @@ class PoolSnapshot:
     promising_slots: int
 
 
+#: ``(promising, running, active, promising_slots)`` of one sample.
+PoolCounts = Tuple[int, int, int, int]
+
+
+class PoolTimeline(Sequence):
+    """The per-epoch pool samples of one run, stored as change points.
+
+    One timestamp per sample, plus runs of equal counts: a new run opens
+    only when a sample's counts differ from the previous one's.  Reads
+    as the sequence of :class:`PoolSnapshot` it encodes (``len``,
+    indexing, slicing to a list, iteration), so Fig 4c averages over
+    the same samples.
+    """
+
+    __slots__ = ("_timestamps", "_starts", "_counts")
+
+    def __init__(self) -> None:
+        self._timestamps: List[float] = []
+        #: Sample index at which each run begins, ascending from 0.
+        self._starts: List[int] = []
+        self._counts: List[PoolCounts] = []
+
+    def append(self, timestamp: float, counts: PoolCounts) -> bool:
+        """Add one sample; True when its counts open a new run."""
+        opened = not self._counts or counts != self._counts[-1]
+        if opened:
+            self._starts.append(len(self._timestamps))
+            self._counts.append(counts)
+        self._timestamps.append(timestamp)
+        return opened
+
+    def __len__(self) -> int:
+        return len(self._timestamps)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        size = len(self._timestamps)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("pool timeline index out of range")
+        run = bisect_right(self._starts, index) - 1
+        return PoolSnapshot(self._timestamps[index], *self._counts[run])
+
+    def __iter__(self) -> Iterator[PoolSnapshot]:
+        for start, end, counts in self.runs():
+            for timestamp in self._timestamps[start:end]:
+                yield PoolSnapshot(timestamp, *counts)
+
+    def runs(self) -> Iterator[Tuple[int, int, PoolCounts]]:
+        """``(first sample, one past the last sample, counts)`` per run."""
+        ends = self._starts[1:] + [len(self._timestamps)]
+        return zip(self._starts, ends, self._counts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PoolTimeline):
+            return NotImplemented
+        return (
+            self._timestamps == other._timestamps
+            and self._starts == other._starts
+            and self._counts == other._counts
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"PoolTimeline({len(self._timestamps)} samples, "
+            f"{len(self._counts)} runs)"
+        )
+
+    def to_dict(self) -> Dict[str, List]:
+        """``{"timestamps": [...], "runs": [[start, promising, running,
+        active, promising_slots], ...]}``."""
+        return {
+            "timestamps": list(self._timestamps),
+            "runs": [
+                [start, *counts]
+                for start, counts in zip(self._starts, self._counts)
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, data: Union[Dict[str, List], List[Dict[str, Any]]]
+                  ) -> "PoolTimeline":
+        """Decode :meth:`to_dict`'s form, or the list of per-sample dicts
+        that results of repro 1.5–1.8 hold."""
+        timeline = cls()
+        if isinstance(data, dict):
+            timeline._timestamps = list(data["timestamps"])
+            for start, *counts in data["runs"]:
+                timeline._starts.append(start)
+                timeline._counts.append(tuple(counts))
+            return timeline
+        for sample in data:
+            timeline.append(
+                sample["timestamp"],
+                (
+                    sample["promising"],
+                    sample["running"],
+                    sample["active"],
+                    sample["promising_slots"],
+                ),
+            )
+        return timeline
+
+    @staticmethod
+    def normalize(result: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
+        """``result`` (a stored :meth:`ExperimentResult.to_dict`) with its
+        ``pool_timeline`` in the current form, whatever form it was
+        stored in."""
+        if result and "pool_timeline" in result:
+            result["pool_timeline"] = PoolTimeline.from_dict(
+                result["pool_timeline"]
+            ).to_dict()
+        return result
+
+
 @dataclass
 class ExperimentResult:
     """Everything measured during one experiment run."""
@@ -150,7 +269,7 @@ class ExperimentResult:
     jobs: List[Job] = field(default_factory=list)
     lifecycle: List[LifecycleEvent] = field(default_factory=list)
     snapshots: List[Snapshot] = field(default_factory=list)
-    pool_timeline: List[PoolSnapshot] = field(default_factory=list)
+    pool_timeline: PoolTimeline = field(default_factory=PoolTimeline)
     predictions_made: int = 0
     epochs_trained: int = 0
     target_achievements: List[TargetAchievement] = field(default_factory=list)
@@ -237,18 +356,7 @@ class ExperimentResult:
                 }
                 for event in self.lifecycle
             ],
-            # Explicit dicts, not asdict(): these records are flat, and
-            # asdict recurses and deep-copies each of thousands of them.
-            "pool_timeline": [
-                {
-                    "timestamp": s.timestamp,
-                    "promising": s.promising,
-                    "running": s.running,
-                    "active": s.active,
-                    "promising_slots": s.promising_slots,
-                }
-                for s in self.pool_timeline
-            ],
+            "pool_timeline": self.pool_timeline.to_dict(),
             "suspends": [
                 {
                     "job_id": s.job_id,

@@ -44,7 +44,6 @@ from .events import (
 from .experiment import (
     ExperimentResult,
     ExperimentSpec,
-    PoolSnapshot,
     TargetAchievement,
 )
 from .job import Job, JobState
@@ -136,7 +135,6 @@ class HyperDriveScheduler:
         self._evict_pending: Set[str] = set()
         self._done = False
         self._context: Optional[PolicyContext] = None
-        self._last_audited_pool: Optional[Tuple[int, int, int, int]] = None
         metrics = self.recorder.metrics
         self._m_epochs = metrics.counter(
             "scheduler_epochs_total", help="Epochs processed by the scheduler"
@@ -673,11 +671,13 @@ class HyperDriveScheduler:
             promising_slots / num_machines if num_machines else 0.0
         )
         self._m_jobs_active.set(active)
-        # The timeline keeps every sample (Fig 4c averages over them);
-        # the audit trail gets only the change points.
-        counts = (promising, running, active, promising_slots)
-        if self.recorder.enabled and counts != self._last_audited_pool:
-            self._last_audited_pool = counts
+        # The timeline keeps every sample (Fig 4c averages over them)
+        # as runs of equal counts; the audit trail gets only the change
+        # points, the samples that open a run.
+        opened = self.result.pool_timeline.append(
+            now, (promising, running, active, promising_slots)
+        )
+        if opened and self.recorder.enabled:
             self.recorder.audit.record(
                 "pool_snapshot",
                 promising=promising,
@@ -685,15 +685,6 @@ class HyperDriveScheduler:
                 active=active,
                 promising_slots=promising_slots,
             )
-        self.result.pool_timeline.append(
-            PoolSnapshot(
-                timestamp=now,
-                promising=promising,
-                running=running,
-                active=active,
-                promising_slots=promising_slots,
-            )
-        )
 
     def _log(
         self,

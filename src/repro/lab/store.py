@@ -26,6 +26,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Any, Dict, List, Set, Union
 
+from ..framework.experiment import PoolTimeline
 from ..observability.journal import Journal, atomic_write
 from .spec import StudySpec
 
@@ -120,8 +121,12 @@ class CellStore:
             journal.append(journal_line)
 
     def load_cell(self, key: str) -> Dict[str, Any]:
+        """One completed cell, its result's pool timeline in the current
+        form (cells are never rewritten)."""
         with open(self.cell_path(key), "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            payload = json.load(handle)
+        PoolTimeline.normalize(payload.get("result"))
+        return payload
 
     def mtime_ns(self, key: str) -> int:
         """Nanosecond mtime of a completed cell (resume-skip evidence)."""

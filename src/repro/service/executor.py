@@ -20,7 +20,8 @@ set of hooks — wiring these service concerns into the run:
 * **Telemetry**: when the caller owns a
   :class:`~repro.observability.aggregator.TelemetryAggregator` (the
   daemon does), the run's registry is ingested under the experiment id
-  at every checkpoint and at completion, and cluster runs ship their
+  at a checkpoint at most once per ``poll_wall_seconds``, the
+  cancellation throttle, and at completion; cluster runs ship their
   per-worker registries into the same aggregator — that is what the
   daemon's ``/telemetry`` and merged ``/metrics`` render.
 
@@ -185,7 +186,8 @@ def execute(
         exp_id: experiment id.
         on_checkpoint: test/ops hook invoked with each checkpoint state
             after it is persisted.
-        poll_wall_seconds: wall-clock throttle on cancellation polls.
+        poll_wall_seconds: wall-clock throttle on cancellation polls
+            and on the run's telemetry ingests.
         cluster_workers: when set, live submissions execute on the
             multi-process cluster runtime with this many worker
             processes (``repro serve --cluster-workers``).
@@ -315,8 +317,16 @@ def _run(
             assert final is not None
             return final
 
-    def publish_telemetry() -> None:
-        if aggregator is not None:
+    # The run's registry reaches the aggregator at most once per
+    # poll_wall_seconds while it runs, and once at the end.
+    published = {"next": time.monotonic() + poll_wall_seconds}
+
+    def publish_telemetry(final: bool = False) -> None:
+        if aggregator is None:
+            return
+        now = time.monotonic()
+        if final or now >= published["next"]:
+            published["next"] = now + poll_wall_seconds
             aggregator.ingest_registry(
                 exp_id, recorder.metrics, meta={"status": RUNNING}
             )
@@ -376,7 +386,7 @@ def _run(
         )
         raise
     finally:
-        publish_telemetry()
+        publish_telemetry(final=True)
     if (
         control is not None
         and control.preempted.is_set()

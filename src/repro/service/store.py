@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
+from ..framework.experiment import PoolTimeline
 from ..observability.exporters import EventExporter, encode_event
 from ..observability.journal import Journal
 from .submission import Submission
@@ -199,7 +200,7 @@ class RunStore:
                 json.loads(row["checkpoint"]) if row["checkpoint"] else None
             ),
             result=(
-                json.loads(row["result"])
+                PoolTimeline.normalize(json.loads(row["result"]))
                 if with_result and row["result"] else None
             ),
             error=row["error"],
@@ -234,15 +235,16 @@ class RunStore:
 
     def wait_for_status_change(
         self, exp_id: str, status: str, timeout: float
-    ) -> Optional[RunRecord]:
-        """The experiment's record once its status is no longer
-        ``status``, or when ``timeout`` seconds pass, or when
-        :meth:`release_waiters` is called — whichever comes first.
+    ) -> Optional[str]:
+        """The experiment's status once it is no longer ``status``, or
+        when ``timeout`` seconds pass, or when :meth:`release_waiters` is
+        called — whichever comes first.
 
         Only status writes made through this store object wake the
         wait; a change by another process is seen at the timeout.
-        Returns None for an unknown id.  Each wake-up reads the status
-        alone; the record is decoded once, on return.
+        Returns None for an unknown id.  Every wake-up reads the status
+        alone: no record is decoded (a caller that serves the record
+        reads it through :meth:`get_encoded`).
         """
         deadline = time.monotonic() + timeout
         with self._status_changed:
@@ -254,9 +256,8 @@ class RunStore:
                     or remaining <= 0
                     or self._waiters_released
                 ):
-                    break
+                    return current
                 self._status_changed.wait(remaining)
-        return self.get(exp_id)
 
     def release_waiters(self) -> None:
         """Return every blocked :meth:`wait_for_status_change` now, and

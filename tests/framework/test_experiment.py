@@ -61,9 +61,10 @@ def test_result_to_dict_and_save(cifar10_workload, tmp_path):
 
 
 def test_to_dict_records_match_asdict(cifar10_workload):
-    """The hand-built timeline and milestone records are exactly what
-    ``dataclasses.asdict`` produced, entry for entry and byte for byte
-    once serialised."""
+    """The timeline is written as change points, each run expanding to
+    ``dataclasses.asdict`` of every sample it covers; the milestone
+    records are exactly what ``asdict`` produced, entry for entry and
+    byte for byte once serialised."""
     configs = standard_configs(cifar10_workload, 40)
     result = run_simulation(
         cifar10_workload,
@@ -76,9 +77,23 @@ def test_to_dict_records_match_asdict(cifar10_workload):
     )
     assert result.pool_timeline and len(result.target_achievements) >= 2
     record = result.to_dict()
-    assert len(record["pool_timeline"]) == len(result.pool_timeline)
-    for entry, snapshot in zip(record["pool_timeline"], result.pool_timeline):
-        assert entry == asdict(snapshot)
+    timeline = record["pool_timeline"]
+    samples = list(result.pool_timeline)
+    assert timeline["timestamps"] == [s.timestamp for s in samples]
+    runs = timeline["runs"]
+    assert runs[0][0] == 0 and len(runs) < len(samples)
+    ends = [run[0] for run in runs[1:]] + [len(samples)]
+    expanded = []
+    for (start, promising, running, active, slots), end in zip(runs, ends):
+        assert start < end
+        for timestamp in timeline["timestamps"][start:end]:
+            expanded.append(dict(
+                timestamp=timestamp, promising=promising, running=running,
+                active=active, promising_slots=slots,
+            ))
+    assert expanded == [asdict(s) for s in samples]
+    # Runs are maximal: neighbours differ in their counts.
+    assert all(a[1:] != b[1:] for a, b in zip(runs, runs[1:]))
     assert len(record["target_achievements"]) == len(
         result.target_achievements
     )
@@ -88,7 +103,6 @@ def test_to_dict_records_match_asdict(cifar10_workload):
         assert entry == asdict(milestone)
     reference = dict(
         record,
-        pool_timeline=[asdict(s) for s in result.pool_timeline],
         target_achievements=[asdict(m) for m in result.target_achievements],
     )
     assert json.dumps(record) == json.dumps(reference)

@@ -43,6 +43,53 @@ def test_execute_completes_and_persists_everything(store, small_submission):
     assert "lifecycle" in audit_kinds
 
 
+class CountingAggregator:
+    """Records every registry the executor publishes, as published."""
+
+    def __init__(self) -> None:
+        self.ingests = []
+
+    def ingest_registry(self, node, registry, meta=None):
+        self.ingests.append(registry.to_dict())
+
+
+def epochs_total(families) -> float:
+    return sum(
+        sample["value"]
+        for sample in families["scheduler_epochs_total"]["samples"]
+    )
+
+
+def test_telemetry_is_published_once_when_the_cadence_is_long(
+    store, small_submission
+):
+    aggregator, checkpoints = CountingAggregator(), []
+    final = executor.execute(
+        store, store.submit(small_submission).id, aggregator=aggregator,
+        on_checkpoint=checkpoints.append, poll_wall_seconds=3600.0,
+    )
+    assert len(checkpoints) > 1
+    (published,) = aggregator.ingests
+    assert epochs_total(published) == final.result["epochs_trained"]
+
+
+def test_telemetry_is_published_at_every_checkpoint_without_a_cadence(
+    store, small_submission
+):
+    aggregator, checkpoints = CountingAggregator(), []
+    final = executor.execute(
+        store, store.submit(small_submission).id, aggregator=aggregator,
+        on_checkpoint=checkpoints.append, poll_wall_seconds=0.0,
+    )
+    assert len(aggregator.ingests) == len(checkpoints) + 1
+    assert [epochs_total(p) for p in aggregator.ingests[:-1]] == [
+        state["epochs_trained"] for state in checkpoints
+    ]
+    assert epochs_total(aggregator.ingests[-1]) == (
+        final.result["epochs_trained"]
+    )
+
+
 def test_execute_unknown_id(store):
     with pytest.raises(KeyError):
         executor.execute(store, "exp-missing")

@@ -328,6 +328,31 @@ def test_get_encoded_of_a_non_compact_result_decodes_equal(
     assert json.loads(store.get_encoded(record.id)) == expected
 
 
+def test_get_serves_a_list_form_timeline_as_change_points(
+    store, small_submission
+):
+    """A result stored with the per-sample list of repro 1.5–1.8 is
+    returned in the change-point form; the stored text is not rewritten,
+    and ``get_encoded`` still serves it as stored."""
+    record = store.submit(small_submission)
+    samples = [
+        {"timestamp": t, "promising": 0, "running": r, "active": 4,
+         "promising_slots": 0}
+        for t, r in ((0.0, 2), (5.0, 2), (9.5, 1), (12.0, 2))
+    ]
+    store.claim_specific(record.id)
+    store.mark_finished(
+        record.id, COMPLETED, result={"epochs_trained": 4,
+                                      "pool_timeline": samples},
+    )
+    assert store.get(record.id).result["pool_timeline"] == {
+        "timestamps": [0.0, 5.0, 9.5, 12.0],
+        "runs": [[0, 0, 2, 4, 0], [2, 0, 1, 4, 0], [3, 0, 2, 4, 0]],
+    }
+    served = json.loads(store.get_encoded(record.id))
+    assert served["result"]["pool_timeline"] == samples
+
+
 def test_status_reads_the_status_alone(store, small_submission):
     record = store.submit(small_submission)
     assert store.status(record.id) == QUEUED
@@ -366,7 +391,7 @@ def test_connections_are_per_thread_and_reused(store):
 # ---------------------------------------------------------- status waits
 
 
-def test_wait_for_status_change_returns_the_new_record(store, small_submission):
+def test_wait_for_status_change_returns_the_new_status(store, small_submission):
     record = store.submit(small_submission)
     store.claim_specific(record.id)
     seen = []
@@ -381,34 +406,35 @@ def test_wait_for_status_change_returns_the_new_record(store, small_submission):
     # Half the wait's own timeout: only the notification can end it.
     waiter.join(timeout=30)
     assert not waiter.is_alive()
-    assert seen[0].status == COMPLETED
+    assert seen[0] == COMPLETED
 
 
 def test_wait_for_status_change_times_out_and_handles_unknown_ids(
     store, small_submission
 ):
     record = store.submit(small_submission)
-    assert store.wait_for_status_change(record.id, QUEUED, 0.0).status == QUEUED
+    assert store.wait_for_status_change(record.id, QUEUED, 0.0) == QUEUED
     assert store.wait_for_status_change("exp-missing", QUEUED, 60.0) is None
 
 
-def test_wait_for_status_change_decodes_once(
+def test_wait_for_status_change_never_decodes(
     store, small_submission, monkeypatch
 ):
-    """Wake-ups that find the status unchanged read the status alone."""
+    """Every wake-up, the last included, reads the status alone: the
+    record is never decoded."""
     record = store.submit(small_submission)
     decodes, woken = [], threading.Event()
-    real_get, real_status = RunStore.get, RunStore.status
+    real_decode, real_status = RunStore._decode, RunStore.status
 
-    def counting_get(self, exp_id):
+    def counting_decode(row, with_result=True):
         decodes.append(threading.current_thread())
-        return real_get(self, exp_id)
+        return real_decode(row, with_result)
 
     def noting_status(self, exp_id):
         woken.set()
         return real_status(self, exp_id)
 
-    monkeypatch.setattr(RunStore, "get", counting_get)
+    monkeypatch.setattr(RunStore, "_decode", staticmethod(counting_decode))
     monkeypatch.setattr(RunStore, "status", noting_status)
     seen = []
     waiter = threading.Thread(
@@ -426,8 +452,8 @@ def test_wait_for_status_change_decodes_once(
     store.claim_specific(record.id)
     waiter.join(timeout=30)
     assert not waiter.is_alive()
-    assert seen[0].status == RUNNING
-    assert decodes.count(waiter) == 1
+    assert seen[0] == RUNNING
+    assert decodes.count(waiter) == 0
 
 
 def test_release_waiters_frees_a_blocked_wait(store, small_submission):
@@ -443,4 +469,4 @@ def test_release_waiters_frees_a_blocked_wait(store, small_submission):
     store.release_waiters()
     waiter.join(timeout=30)
     assert not waiter.is_alive()
-    assert seen[0].status == QUEUED
+    assert seen[0] == QUEUED
