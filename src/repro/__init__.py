@@ -98,7 +98,7 @@ from .workloads import (
     Workload,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.9.1"
 
 __all__ = [
     "POPPolicy",

@@ -435,7 +435,8 @@ def _build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument("--url", default=DEFAULT_SERVICE_URL)
     submit_parser.add_argument(
         "--checkpoint-every", type=int, default=25,
-        help="epochs between durable service checkpoints",
+        help="epochs between checkpoint boundaries; their state is "
+             "persisted at most once per poll interval",
     )
     submit_parser.add_argument(
         "--wait", action="store_true",

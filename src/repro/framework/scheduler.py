@@ -157,6 +157,8 @@ class HyperDriveScheduler:
         self._m_jobs_active = metrics.gauge(
             "jobs_active", help="Jobs still in play (pending/running/suspended)"
         )
+        #: (promising ratio, active jobs) as last set on the two gauges.
+        self._gauged: Optional[Tuple[float, int]] = None
         self._m_best_metric = metrics.gauge(
             "experiment_best_metric",
             help="Best evaluation metric observed so far",
@@ -667,10 +669,14 @@ class HyperDriveScheduler:
         active = job_manager.num_active
         promising_slots = getattr(self.policy, "promising_slots", 0)
         num_machines = self.resource_manager.num_machines
-        self._m_promising_ratio.set(
-            promising_slots / num_machines if num_machines else 0.0
+        gauged = (
+            promising_slots / num_machines if num_machines else 0.0,
+            active,
         )
-        self._m_jobs_active.set(active)
+        if gauged != self._gauged:
+            self._gauged = gauged
+            self._m_promising_ratio.set(gauged[0])
+            self._m_jobs_active.set(active)
         # The timeline keeps every sample (Fig 4c averages over them)
         # as runs of equal counts; the audit trail gets only the change
         # points, the samples that open a run.

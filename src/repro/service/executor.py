@@ -7,10 +7,17 @@ set of hooks — wiring these service concerns into the run:
 * **Journal**: the run's audit trail streams into the store journal
   through a :class:`~repro.service.store.JournalExporter`; the minted
   configuration list is journaled before the first epoch.
-* **Checkpoints**: every ``checkpoint_every`` epochs the scheduler's
+* **Checkpoints**: every ``checkpoint_every`` epochs is a boundary.
+  The scheduler's
   :meth:`~repro.framework.scheduler.HyperDriveScheduler.checkpoint_state`
-  is persisted — progress for ``repro status``/``watch`` and the
-  bookkeeping ``repro resume`` validates against.
+  is persisted at the first boundary, then at most once per
+  ``poll_wall_seconds`` (the cancellation throttle, the cadence anyone
+  polls at), and once more when the run returns if it trained epochs
+  since the last one written — progress for ``repro status``/``watch``
+  and the ``resumed`` marker.  A run whose boundaries are slower than
+  the throttle persists every one; a simulated run, which passes
+  hundreds a second, persists a few.  The broker sync and
+  ``on_checkpoint`` stay at every boundary.
 * **Cancellation**: every runtime takes the same ``stop_check``.  It
   reads broker preemption on every call and the store's
   ``cancel_requested`` flag at most once per ``poll_wall_seconds``; the
@@ -184,10 +191,11 @@ def execute(
     Args:
         store: the run store holding the experiment.
         exp_id: experiment id.
-        on_checkpoint: test/ops hook invoked with each checkpoint state
-            after it is persisted.
-        poll_wall_seconds: wall-clock throttle on cancellation polls
-            and on the run's telemetry ingests.
+        on_checkpoint: test/ops hook invoked with the checkpoint state
+            at every boundary, persisted or not.
+        poll_wall_seconds: wall-clock throttle on cancellation polls,
+            on persisted checkpoints and on the run's telemetry
+            ingests.
         cluster_workers: when set, live submissions execute on the
             multi-process cluster runtime with this many worker
             processes (``repro serve --cluster-workers``).
@@ -312,10 +320,9 @@ def _run(
         if not control.admit():
             # Cancelled while queued for slots: no partial result exists.
             control.release(CANCELLED)
-            store.mark_finished(exp_id, CANCELLED)
-            final = store.get(exp_id)
-            assert final is not None
-            return final
+            record.status, record.cancel_requested = CANCELLED, True
+            record.finished_at = store.mark_finished(exp_id, CANCELLED)
+            return record
 
     # The run's registry reaches the aggregator at most once per
     # poll_wall_seconds while it runs, and once at the end.
@@ -331,9 +338,25 @@ def _run(
                 exp_id, recorder.metrics, meta={"status": RUNNING}
             )
 
-    def checkpoint_hook(scheduler) -> None:
-        state = scheduler.checkpoint_state()
+    # The first boundary's state is persisted at once, later ones at
+    # most once per poll_wall_seconds, and the final one after the run.
+    saved: Dict[str, Any] = {"next": 0.0, "epochs": -1, "scheduler": None}
+
+    def save(state: Dict[str, Any]) -> None:
         store.save_checkpoint(exp_id, state)
+        saved["epochs"] = state["epochs_trained"]
+        record.checkpoint = state
+
+    def checkpoint_hook(scheduler) -> None:
+        saved["scheduler"] = scheduler
+        now = time.monotonic()
+        due = now >= saved["next"]
+        state = None
+        if due or on_checkpoint is not None:
+            state = scheduler.checkpoint_state()
+        if due:
+            saved["next"] = now + poll_wall_seconds
+            save(state)
         publish_telemetry()
         if control is not None:
             control.sync(scheduler)
@@ -387,26 +410,34 @@ def _run(
         raise
     finally:
         publish_telemetry(final=True)
+    scheduler = saved["scheduler"]
+    if scheduler is not None and (
+        scheduler.result.epochs_trained > saved["epochs"]
+    ):
+        save(scheduler.checkpoint_state())
+    # The record returned is the one read at the start, brought up to
+    # date here: the result just stored is not read back and decoded.
+    record.cancel_requested = store.cancel_requested(exp_id)
     if (
         control is not None
         and control.preempted.is_set()
-        and not store.cancel_requested(exp_id)
+        and not record.cancel_requested
     ):
         # Broker reclaimed every slot: park the run as INTERRUPTED.  No
         # result is recorded — deterministic replay resumes it later
         # and finishes exactly as an uninterrupted run would.
         control.release("preempted")
         store.mark_interrupted(exp_id)
-        final = store.get(exp_id)
-        assert final is not None
-        return final
-    status = CANCELLED if store.cancel_requested(exp_id) else COMPLETED
+        record.status = INTERRUPTED
+        return record
+    record.status = CANCELLED if record.cancel_requested else COMPLETED
     if control is not None:
-        control.release(status)
-    store.mark_finished(exp_id, status, result=result.to_dict())
-    final = store.get(exp_id)
-    assert final is not None
-    return final
+        control.release(record.status)
+    record.result = result.to_dict()
+    record.finished_at = store.mark_finished(
+        exp_id, record.status, result=record.result
+    )
+    return record
 
 
 def _cluster_options(

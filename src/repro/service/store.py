@@ -467,8 +467,9 @@ class RunStore:
         status: str,
         result: Optional[Dict[str, Any]] = None,
         error: Optional[str] = None,
-    ) -> None:
-        """Record a terminal status (journal first, then the index)."""
+    ) -> float:
+        """Record a terminal status (journal first, then the index).
+        Returns the ``finished_at`` time written."""
         if status not in TERMINAL_STATUSES:
             raise ValueError(f"{status!r} is not a terminal status")
         self.append_event(exp_id, "status", status=status, error=error)
@@ -479,15 +480,17 @@ class RunStore:
             encoded = encode_event(result)
             head = encode_event({"kind": "result", "wall_time": time.time()})
             self._journal(exp_id).append(f'{head[:-1]},"result":{encoded}}}')
+        finished_at = time.time()
         with self._connect() as conn:
             self._require(conn, exp_id)
             conn.execute(
                 "UPDATE experiments SET status = ?, finished_at = ?,"
                 " result = ?, error = ? WHERE id = ?",
-                (status, time.time(), encoded, error, exp_id),
+                (status, finished_at, encoded, error, exp_id),
             )
         self._status_written()
         self._close_journal(exp_id)
+        return finished_at
 
     def request_cancel(self, exp_id: str) -> RunRecord:
         """Ask a queued/running experiment to stop.

@@ -47,8 +47,10 @@ class Submission:
         live: execute on the live threaded runtime instead of the
             simulator.
         time_scale: wall seconds per simulated second (live runtime).
-        checkpoint_every: epochs between service checkpoints written to
-            the run store (progress visibility + resume bookkeeping).
+        checkpoint_every: epochs between checkpoint boundaries (broker
+            syncs); their state is written to the run store at most
+            once per poll interval (progress visibility + resume
+            bookkeeping).
         tenant: broker tenant this submission bills to (quotas, rate
             limits, budget accounting).
         priority: admission priority — higher claims first; a strictly

@@ -67,7 +67,7 @@ def running_by_tenant(service):
     return counts
 
 
-def test_concurrent_tenants_respect_running_quota(tmp_path):
+def test_concurrent_tenants_respect_running_quota(tmp_path, held_runs):
     """Two tenants, three workers, a 1-running quota each: the daemon
     never runs two of one tenant's experiments at once, yet everything
     completes."""
@@ -91,6 +91,7 @@ def test_concurrent_tenants_respect_running_quota(tmp_path):
             assert all(count <= 1 for count in counts.values()), counts
             if len([c for c in counts.values() if c == 1]) == 2:
                 observed_parallel = True
+                held_runs.release()
             records = [service.store.get(exp_id) for exp_id in ids]
             if all(r.status == COMPLETED for r in records):
                 break
@@ -102,7 +103,7 @@ def test_concurrent_tenants_respect_running_quota(tmp_path):
         service.stop()
 
 
-def test_dispatch_is_priority_then_fifo(tmp_path):
+def test_dispatch_is_priority_then_fifo(tmp_path, held_runs):
     service = ExperimentService(tmp_path / "runs", port=0, workers=1)
     service.start()
     try:
@@ -114,6 +115,7 @@ def test_dispatch_is_priority_then_fifo(tmp_path):
         a = client.submit(small_payload(priority=0, seed=1))["id"]
         b = client.submit(small_payload(priority=5, seed=2))["id"]
         c = client.submit(small_payload(priority=0, seed=3))["id"]
+        held_runs.release()
         finals = wait_all(client, [blocker, a, b, c])
         assert all(f["status"] == "completed" for f in finals.values())
         started = {exp_id: finals[exp_id]["started_at"] for exp_id in finals}
@@ -158,7 +160,7 @@ def test_rate_limited_submission_gets_429_and_client_retries(tmp_path):
         service.stop()
 
 
-def test_queue_depth_backpressure_is_503(tmp_path):
+def test_queue_depth_backpressure_is_503(tmp_path, held_runs):
     service = ExperimentService(
         tmp_path / "runs", port=0, workers=1, max_queue_depth=1,
     )
@@ -172,11 +174,14 @@ def test_queue_depth_backpressure_is_503(tmp_path):
             client.submit(small_payload(seed=2))
         assert info.value.status == 503
         assert info.value.retry_after == pytest.approx(5.0)
+        held_runs.release()
     finally:
         service.stop()
 
 
-def test_preempted_experiment_resumes_to_identical_result(tmp_path):
+def test_preempted_experiment_resumes_to_identical_result(
+    tmp_path, held_runs
+):
     """A higher-priority arrival fully preempts the only slot's holder;
     the victim auto-requeues, resumes, and still produces the same
     result as an uninterrupted run of the same submission."""
@@ -192,10 +197,13 @@ def test_preempted_experiment_resumes_to_identical_result(tmp_path):
         client = ServiceClient(service.url)
         victim = client.submit(victim_payload)["id"]
         wait_running(service, victim)
+        held_runs.wait_held()  # the victim holds the only slot
         vip = client.submit(small_payload(
             tenant="bob", priority=10, seed=2, machines=1, configs=4,
             checkpoint_every=2,
         ))["id"]
+        wait_running(service, vip)  # claimed, waiting for the slot
+        held_runs.release()
         assert wait_terminal(service, vip).status == COMPLETED
         victim_record = wait_terminal(service, victim)
         assert victim_record.status == COMPLETED

@@ -74,13 +74,31 @@ def test_submit_watch_events_metrics_roundtrip(service, client, small_submission
     assert float(epochs_line.split()[-1]) == final["result"]["epochs_trained"]
 
 
-def test_cancel_queued_experiment(service, client, small_submission):
+def test_a_completed_run_serves_its_final_checkpoint(client, small_submission):
+    """The last checkpoint persisted is the run's final state, also when
+    the run ends between two boundaries (280 epochs, one every 3)."""
+    payload = {**small_submission.to_dict(), "checkpoint_every": 3}
+    exp_id = client.submit(payload)["id"]
+    client.watch(exp_id, poll_seconds=0.05, timeout=300)
+    served = client.get(exp_id)
+    assert served["status"] == "completed"
+    assert served["result"]["epochs_trained"] % 3
+    assert (
+        served["checkpoint"]["epochs_trained"]
+        == served["result"]["epochs_trained"]
+    )
+
+
+def test_cancel_queued_experiment(
+    service, client, small_submission, held_runs
+):
     """With a single worker busy, a second submission stays queued and
     cancels deterministically through DELETE."""
     first = client.submit(small_submission.to_dict())
     second = client.submit(small_submission.to_dict())
     cancelled = client.cancel(second["id"])
     assert cancelled["status"] in ("cancelled", "running")
+    held_runs.release()
     final_second = client.watch(second["id"], poll_seconds=0.1, timeout=300)
     assert final_second["status"] == "cancelled"
     # the busy worker's experiment still completes

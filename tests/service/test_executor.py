@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import shutil
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,74 @@ def test_telemetry_is_published_at_every_checkpoint_without_a_cadence(
     assert epochs_total(aggregator.ingests[-1]) == (
         final.result["epochs_trained"]
     )
+
+
+def checkpoint_lines(store, exp_id):
+    return [
+        event["state"] for event in store.read_events(exp_id)
+        if event["kind"] == "checkpoint"
+    ]
+
+
+def test_a_long_cadence_persists_the_first_and_the_final_checkpoint(
+    store, small_submission
+):
+    checkpoints = []
+    final = executor.execute(
+        store, store.submit(small_submission).id,
+        on_checkpoint=checkpoints.append, poll_wall_seconds=3600.0,
+    )
+    assert len(checkpoints) > 2
+    first, last = checkpoint_lines(store, final.id)
+    assert first == checkpoints[0]
+    assert last["epochs_trained"] == final.result["epochs_trained"]
+    assert store.get(final.id).checkpoint == last == final.checkpoint
+
+
+@pytest.mark.parametrize("every, newer", [(5, 0), (3, 1)])
+def test_no_cadence_persists_every_boundary_and_a_newer_final_state(
+    store, small_submission, every, newer
+):
+    """280 epochs: a boundary every 5 ends on the final state, one every
+    3 leaves one epoch for the final line."""
+    checkpoints = []
+    final = executor.execute(
+        store,
+        store.submit(replace(small_submission, checkpoint_every=every)).id,
+        on_checkpoint=checkpoints.append, poll_wall_seconds=0.0,
+    )
+    lines = checkpoint_lines(store, final.id)
+    assert lines[: len(checkpoints)] == checkpoints
+    assert len(lines) == len(checkpoints) + newer
+    assert lines[-1]["epochs_trained"] == final.result["epochs_trained"]
+    assert store.get(final.id).checkpoint == lines[-1]
+
+
+def test_a_live_run_slower_than_the_cadence_persists_every_boundary(store):
+    """Boundaries of a threaded run are at least one 20 ms monitor round
+    apart, so a 10 ms cadence persists each, as every run did before the
+    throttle; only an epoch past the last boundary adds a line."""
+    checkpoints = []
+    final = executor.execute(
+        store, store.submit(_live_submission(time_scale=2e-4)).id,
+        on_checkpoint=checkpoints.append, poll_wall_seconds=0.01,
+    )
+    lines = checkpoint_lines(store, final.id)
+    assert len(checkpoints) > 2
+    assert lines[: len(checkpoints)] == checkpoints
+    tail = lines[len(checkpoints):]
+    assert tail in ([], [store.get(final.id).checkpoint])
+    if tail:
+        assert (
+            checkpoints[-1]["epochs_trained"]
+            < tail[0]["epochs_trained"]
+            == final.result["epochs_trained"]
+        )
+
+
+def test_the_returned_record_is_the_stored_one(store, small_submission):
+    final = executor.execute(store, store.submit(small_submission).id)
+    assert final == store.get(final.id)
 
 
 def test_execute_unknown_id(store):
