@@ -214,9 +214,13 @@ class _ClusterExperiment(ThreadedExperiment):
         into the aggregator under ``node="head"``."""
         if self.aggregator is None or not self.recorder.enabled:
             return
-        self.aggregator.ingest_registry(
-            "head", self.recorder.metrics,
-            meta={"heartbeat": self.heartbeat.snapshot()},
+        # The scheduler's instruments are views of state its driver
+        # threads change under the lock, so read them under it too.
+        with self.lock:
+            metrics = self.recorder.metrics.to_dict()
+        self.aggregator.ingest(
+            "head",
+            {"metrics": metrics, "meta": {"heartbeat": self.heartbeat.snapshot()}},
         )
 
     # ------------------------------------------------------------- start-up

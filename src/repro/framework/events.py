@@ -15,7 +15,7 @@ from typing import Any, Dict, Optional
 __all__ = ["AppStat", "IterationFinished", "Decision", "LifecycleKind", "LifecycleEvent"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppStat:
     """One application statistic reported by a training job.
 
@@ -39,7 +39,7 @@ class AppStat:
     extras: Dict[str, float] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationFinished:
     """Payload of the ``OnIterationFinish`` up-call."""
 

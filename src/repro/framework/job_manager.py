@@ -55,14 +55,20 @@ class JobManager:
         self._idle_key: Dict[str, Tuple[bool, float, int]] = {}
         self._relabelled = False
         self._fifo_counter = itertools.count()
-        recorder = recorder if recorder is not None else NULL_RECORDER
-        self._m_transitions = recorder.metrics.counter(
+        # Transitions by destination, in first-seen order; the two
+        # instruments below are views of it and of the idle queue.
+        self._transitions: Dict[str, int] = {}
+        metrics = (recorder if recorder is not None else NULL_RECORDER).metrics
+        metrics.counter(
             "job_state_transitions_total",
             help="Job lifecycle transitions, by destination state",
+        ).collect_from(
+            lambda: {(("to", to),): n for to, n in self._transitions.items()}
         )
-        self._m_idle = recorder.metrics.gauge(
+        # Every job added was queued, so the depth exists once one was.
+        metrics.gauge(
             "jobs_idle", help="Depth of the idle-job queue"
-        )
+        ).collect_from(lambda: {(): len(self._idle)} if self._jobs else {})
 
     # ------------------------------------------------------------ plumbing
 
@@ -132,7 +138,6 @@ class JobManager:
         key = self._queue_key(job, next(self._fifo_counter))
         self._idle_key[job_id] = key
         self._idle.insert(bisect.bisect_left(self._idle, key, key=self._key_of), job)
-        self._m_idle.set(len(self._idle))
 
     def _dequeue(self, job_id: str) -> None:
         key = self._idle_key.get(job_id)
@@ -141,7 +146,6 @@ class JobManager:
         self._settle()
         del self._idle[bisect.bisect_left(self._idle, key, key=self._key_of)]
         del self._idle_key[job_id]
-        self._m_idle.set(len(self._idle))
 
     def get_idle_job(self) -> Optional[Job]:
         """Highest-priority idle job (PENDING or SUSPENDED), else None.
@@ -176,7 +180,7 @@ class JobManager:
         job.transition(JobState.RUNNING)
         job.machine_id = machine_id
         self._num_running += 1
-        self._m_transitions.inc(to="running")
+        self._count("running")
         return job
 
     def resume_job(self, job_id: str, machine_id: str) -> Job:
@@ -190,7 +194,7 @@ class JobManager:
         job.transition(JobState.RUNNING)
         job.machine_id = machine_id
         self._num_running += 1
-        self._m_transitions.inc(to="running")
+        self._count("running")
         return job
 
     def suspend_job(self, job_id: str) -> Job:
@@ -200,7 +204,7 @@ class JobManager:
         job.machine_id = None
         self._num_running -= 1
         self._enqueue(job_id)
-        self._m_transitions.inc(to="suspended")
+        self._count("suspended")
         return job
 
     def terminate_job(self, job_id: str) -> Job:
@@ -214,7 +218,7 @@ class JobManager:
         self._retire(job)
         if was_running:
             self._num_running -= 1
-        self._m_transitions.inc(to="terminated")
+        self._count("terminated")
         return job
 
     def complete_job(self, job_id: str) -> Job:
@@ -224,8 +228,11 @@ class JobManager:
         job.machine_id = None
         self._retire(job)
         self._num_running -= 1
-        self._m_transitions.inc(to="completed")
+        self._count("completed")
         return job
+
+    def _count(self, to: str) -> None:
+        self._transitions[to] = self._transitions.get(to, 0) + 1
 
     def _retire(self, job: Job) -> None:
         """Drop a job that just left play from the active index; its

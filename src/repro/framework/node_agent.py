@@ -62,13 +62,15 @@ class NodeAgent:
             "agent_predictions_total",
             help="Curve predictions run on Node Agents (§5.2)",
         )
-        self._m_snapshot_latency = metrics.histogram(
+        # Bound once: agents sharing a registry append to the same two
+        # buckets in capture order.
+        self._snapshot_latencies = metrics.histogram(
             "snapshot_latency_seconds",
             help="Modelled suspend/checkpoint capture latency",
-        )
-        self._m_snapshot_size = metrics.histogram(
+        ).bucket()
+        self._snapshot_sizes = metrics.histogram(
             "snapshot_size_bytes", help="Modelled snapshot sizes"
-        )
+        ).bucket()
 
     # ----------------------------------------------------------- lifecycle
 
@@ -145,8 +147,8 @@ class NodeAgent:
                 size_bytes=self._cost_model.sample_size(self._rng),
                 latency=self._cost_model.sample_latency(self._rng),
             )
-        self._m_snapshot_latency.observe(snapshot.latency)
-        self._m_snapshot_size.observe(snapshot.size_bytes)
+        self._snapshot_latencies.append(float(snapshot.latency))
+        self._snapshot_sizes.append(float(snapshot.size_bytes))
         return snapshot
 
     def release(self) -> None:

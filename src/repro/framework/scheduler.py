@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -52,7 +53,7 @@ from .node_agent import NodeAgent
 from .resource_manager import ResourceManager
 from .snapshot import cost_model_for_domain
 
-__all__ = ["FollowUpAction", "FollowUp", "HyperDriveScheduler"]
+__all__ = ["FollowUpAction", "FollowUp", "NEXT_EPOCH", "HyperDriveScheduler"]
 
 logger = logging.getLogger(__name__)
 
@@ -65,7 +66,7 @@ class FollowUpAction(enum.Enum):
     EXPERIMENT_DONE = "experiment_done"  # stop everything
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FollowUp:
     """Backend instruction produced by :meth:`process_epoch`.
 
@@ -80,6 +81,11 @@ class FollowUp:
     action: FollowUpAction
     delay: float = 0.0
     epoch_scale: float = 1.0
+
+
+#: The plain "train the next epoch now" instruction, shared: most epochs
+#: return it, and a frozen record is never mutated.
+NEXT_EPOCH = FollowUp(FollowUpAction.NEXT_EPOCH)
 
 
 class HyperDriveScheduler:
@@ -135,20 +141,49 @@ class HyperDriveScheduler:
         self._evict_pending: Set[str] = set()
         self._done = False
         self._context: Optional[PolicyContext] = None
+        # The per-epoch instruments are views of the result, plus the
+        # kills by rationale (first-seen order) and the suspend count
+        # kept here; the duration histogram's bucket is bound once.
+        self._kills: Dict[str, int] = {}
+        self._suspends = 0
         metrics = self.recorder.metrics
-        self._m_epochs = metrics.counter(
+        result = self.result
+        metrics.counter(
             "scheduler_epochs_total", help="Epochs processed by the scheduler"
+        ).collect_from(
+            lambda: {(): result.epochs_trained} if result.epochs_trained else {}
         )
-        self._m_epoch_duration = metrics.histogram(
+        self._durations = metrics.histogram(
             "epoch_duration_seconds",
             help="Experiment-clock duration of completed epochs",
-        )
-        self._m_kills = metrics.counter(
+        ).bucket()
+        metrics.counter(
             "scheduler_kills_total",
             help="Jobs terminated by the SAP, by rationale",
+        ).collect_from(
+            lambda: {
+                (("reason", reason),): count
+                for reason, count in self._kills.items()
+            }
         )
-        self._m_suspends = metrics.counter(
+        metrics.counter(
             "scheduler_suspends_total", help="Jobs suspended by the SAP"
+        ).collect_from(lambda: {(): self._suspends} if self._suspends else {})
+        metrics.gauge(
+            "experiment_best_metric",
+            help="Best evaluation metric observed so far",
+        ).collect_from(
+            lambda: {} if result.best_metric is None else {(): result.best_metric}
+        )
+        # Unless spans are kept or exported, the decision span is only
+        # its summary entry, added to here without a span object.
+        tracer = self.recorder.tracer
+        self._decision_stats: Optional[Dict[str, float]] = (
+            tracer.stats("scheduler.process_epoch")
+            if self.recorder.enabled
+            and not tracer.keep_spans
+            and tracer.on_span is None
+            else None
         )
         self._m_promising_ratio = metrics.gauge(
             "slots_promising_ratio",
@@ -159,10 +194,6 @@ class HyperDriveScheduler:
         )
         #: (promising ratio, active jobs) as last set on the two gauges.
         self._gauged: Optional[Tuple[float, int]] = None
-        self._m_best_metric = metrics.gauge(
-            "experiment_best_metric",
-            help="Best evaluation metric observed so far",
-        )
 
     # -------------------------------------------------------------- set-up
 
@@ -203,11 +234,6 @@ class HyperDriveScheduler:
         started, self._started_machines = self._started_machines, []
         return started
 
-    def next_epoch_parameters(self, machine_id: str) -> Tuple[float, float]:
-        """Pop (blocking_delay, duration_scale) charges for the next
-        epoch on ``machine_id`` (prediction cost accounting)."""
-        return self._charges.pop(machine_id, (0.0, 1.0))
-
     def machine_speed(self, machine_id: str) -> float:
         """Speed multiplier of ``machine_id`` (1.0 = homogeneous)."""
         factors = self.spec.machine_speed_factors
@@ -222,9 +248,12 @@ class HyperDriveScheduler:
         """``raw`` as it elapses on ``machine_id``: stretched by
         ``scale`` (contention from an overlapped prediction) and shrunk
         by the machine's speed (heterogeneous clusters)."""
+        speed = self.machine_speed(machine_id)
+        if scale == 1.0 and speed == 1.0:
+            return raw
         return EpochResult(
             epoch=raw.epoch,
-            duration=raw.duration * scale / self.machine_speed(machine_id),
+            duration=raw.duration * scale / speed,
             metric=raw.metric,
             done=raw.done,
             extras=raw.extras,
@@ -253,12 +282,10 @@ class HyperDriveScheduler:
         job.record(stat)
         self.appstat_db.record_stat(stat)
         self.result.epochs_trained += 1
-        self._m_epochs.inc()
-        self._m_epoch_duration.observe(result.duration)
+        self._durations.append(float(result.duration))
         if self.result.best_metric is None or result.metric > self.result.best_metric:
             self.result.best_metric = result.metric
             self.result.best_job_id = job_id
-            self._m_best_metric.set(float(result.metric))
         self.policy.application_stat(stat)
 
         if result.metric >= self.target and (
@@ -318,7 +345,7 @@ class HyperDriveScheduler:
             self.job_manager.suspend_job(job_id)
             agent.release()
             self._charges.pop(machine_id, None)
-            self._m_suspends.inc()
+            self._suspends += 1
             self._log(
                 LifecycleKind.SUSPENDED, job_id, machine_id,
                 {"latency": snapshot.latency, "reason": "drain"},
@@ -328,13 +355,21 @@ class HyperDriveScheduler:
                 FollowUpAction.RELEASE_MACHINE, delay=snapshot.latency
             )
 
-        with self.recorder.tracer.span(
-            "scheduler.process_epoch",
-            job_id=job_id,
-            machine_id=machine_id,
-            epoch=result.epoch,
-        ):
+        decisions = self._decision_stats
+        if decisions is not None:
+            start, wall = self._clock(), time.perf_counter()
             decision = self.policy.on_iteration_finish(event)
+            decisions["count"] += 1
+            decisions["wall_seconds"] += time.perf_counter() - wall
+            decisions["experiment_seconds"] += self._clock() - start
+        else:
+            with self.recorder.tracer.span(
+                "scheduler.process_epoch",
+                job_id=job_id,
+                machine_id=machine_id,
+                epoch=result.epoch,
+            ):
+                decision = self.policy.on_iteration_finish(event)
         self._record_pool_snapshot(now)
         rationale = getattr(self.policy, "last_decision_rationale", None)
         if self.recorder.enabled:
@@ -346,7 +381,7 @@ class HyperDriveScheduler:
             return FollowUp(FollowUpAction.EXPERIMENT_DONE)
 
         if decision is Decision.CONTINUE:
-            blocking, scale = self.next_epoch_parameters(machine_id)
+            blocking, scale = self._charges.pop(machine_id, (0.0, 1.0))
             if (
                 self.spec.checkpoint_interval is not None
                 and result.epoch % self.spec.checkpoint_interval == 0
@@ -358,6 +393,8 @@ class HyperDriveScheduler:
                 self.appstat_db.save_snapshot(checkpoint)
                 self.result.snapshots.append(checkpoint)
                 blocking += checkpoint.latency
+            if blocking == 0.0 and scale == 1.0:
+                return NEXT_EPOCH
             return FollowUp(
                 FollowUpAction.NEXT_EPOCH, delay=blocking, epoch_scale=scale
             )
@@ -368,7 +405,7 @@ class HyperDriveScheduler:
             self.job_manager.suspend_job(job_id)
             agent.release()
             self._charges.pop(machine_id, None)
-            self._m_suspends.inc()
+            self._suspends += 1
             self._log(
                 LifecycleKind.SUSPENDED,
                 job_id,
@@ -383,8 +420,8 @@ class HyperDriveScheduler:
         agent.release()
         self.appstat_db.drop_snapshot(job_id)
         self._charges.pop(machine_id, None)
-        reason = (rationale or {}).get("reason", "policy")
-        self._m_kills.inc(reason=reason)
+        reason = str((rationale or {}).get("reason", "policy"))
+        self._kills[reason] = self._kills.get(reason, 0) + 1
         self._log(
             LifecycleKind.TERMINATED,
             job_id,

@@ -16,6 +16,12 @@ The registry renders a Prometheus-style text exposition
 call and safe to cache; all state lives in plain dicts and lists, so
 the cost of an ``inc``/``observe`` is one dict lookup and an append.
 
+A counter or gauge can instead be a *view* (the Prometheus collector
+pattern): :meth:`Counter.collect_from` binds a source over state its
+owner keeps anyway, called at every read; read it under the lock its
+owner writes under.  A histogram writer may bind its observation list
+once (:meth:`Histogram.bucket`) and append to it.
+
 Metric names accept dots as namespace separators (``scheduler.kills_total``)
 and normalise them to underscores for exposition.
 """
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -50,6 +56,10 @@ def normalize_name(name: str) -> str:
     if not _NAME_RE.match(normalized):
         raise ValueError(f"invalid metric name {name!r}")
     return normalized
+
+
+#: Returns a view's samples: label key -> value.
+Source = Callable[[], Dict[LabelKey, Any]]
 
 
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
@@ -95,6 +105,7 @@ class _Instrument:
     def __init__(self, name: str, help: str = "") -> None:
         self.name = normalize_name(name)
         self.help = help
+        self._values: Dict[LabelKey, Any] = {}
 
     def render(self) -> List[str]:
         raise NotImplementedError
@@ -110,40 +121,47 @@ class _Instrument:
         return lines
 
 
-class Counter(_Instrument):
-    """A monotonically increasing total, optionally labelled."""
-
-    kind = "counter"
+class _Scalar(_Instrument):
+    """One float per label set: the reads counters and gauges share."""
 
     def __init__(self, name: str, help: str = "") -> None:
         super().__init__(name, help)
-        self._values: Dict[LabelKey, float] = {}
+        self._sources: List[Source] = []
 
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        if amount < 0:
-            raise ValueError("counters can only increase")
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
+    def collect_from(self, source: Source) -> None:
+        """Make this instrument a view: each read merges ``source()``
+        (label key -> value) into the written samples.  Several sources
+        (runs sharing one registry, in order) merge as if each had
+        written its samples in turn."""
+        self._sources.append(source)
+
+    def _read(self) -> Dict[LabelKey, float]:
+        if not self._sources:
+            return self._values
+        values = dict(self._values)
+        for source in self._sources:
+            for key, value in source().items():
+                self._merge(values, key, value)
+        return values
+
+    def _merge(self, values: Dict[LabelKey, float], key: LabelKey, value: float) -> None:
+        raise NotImplementedError
 
     def value(self, **labels: Any) -> float:
-        return self._values.get(_label_key(labels), 0.0)
-
-    @property
-    def total(self) -> float:
-        """Sum across every label combination."""
-        return sum(self._values.values())
+        return self._read().get(_label_key(labels), 0.0)
 
     def samples(self) -> List[Tuple[Dict[str, str], float]]:
-        return [(dict(key), value) for key, value in self._values.items()]
+        return [(dict(key), value) for key, value in self._read().items()]
 
     def render(self) -> List[str]:
+        values = self._read()
         lines = self._header()
-        for key in sorted(self._values):
+        for key in sorted(values):
             lines.append(
                 f"{self.name}{_render_labels(key)} "
-                f"{_format_value(self._values[key])}"
+                f"{_format_value(values[key])}"
             )
-        if not self._values:
+        if not values:
             lines.append(f"{self.name} 0")
         return lines
 
@@ -153,19 +171,38 @@ class Counter(_Instrument):
             "help": self.help,
             "samples": [
                 {"labels": dict(key), "value": value}
-                for key, value in sorted(self._values.items())
+                for key, value in sorted(self._read().items())
             ],
         }
 
 
-class Gauge(_Instrument):
+class Counter(_Scalar):
+    """A monotonically increasing total, optionally labelled."""
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: Any) -> None:
+        if amount < 0:
+            raise ValueError("counters can only increase")
+        key = _label_key(labels)
+        self._values[key] = self._values.get(key, 0.0) + amount
+
+    def _merge(self, values: Dict[LabelKey, float], key: LabelKey, value: float) -> None:
+        values[key] = values.get(key, 0.0) + value
+
+    @property
+    def total(self) -> float:
+        """Sum across every label combination."""
+        return sum(self._read().values())
+
+
+class Gauge(_Scalar):
     """A value that can rise and fall."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self._values: Dict[LabelKey, float] = {}
+    def _merge(self, values: Dict[LabelKey, float], key: LabelKey, value: float) -> None:
+        values[key] = float(value)  # the last source to have one wins
 
     def set(self, value: float, **labels: Any) -> None:
         self._values[_label_key(labels)] = float(value)
@@ -177,38 +214,16 @@ class Gauge(_Instrument):
     def dec(self, amount: float = 1.0, **labels: Any) -> None:
         self.inc(-amount, **labels)
 
-    def value(self, **labels: Any) -> float:
-        return self._values.get(_label_key(labels), 0.0)
-
-    def render(self) -> List[str]:
-        lines = self._header()
-        for key in sorted(self._values):
-            lines.append(
-                f"{self.name}{_render_labels(key)} "
-                f"{_format_value(self._values[key])}"
-            )
-        if not self._values:
-            lines.append(f"{self.name} 0")
-        return lines
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "help": self.help,
-            "samples": [
-                {"labels": dict(key), "value": value}
-                for key, value in sorted(self._values.items())
-            ],
-        }
-
 
 class Histogram(_Instrument):
     """An observation stream with quantile summaries.
 
     Observations are retained per label set (experiments are bounded,
     so memory stays proportional to epochs trained); quantiles are
-    computed on demand by linear interpolation over the sorted sample,
-    the same estimator ``numpy.quantile`` defaults to.
+    computed on demand by linear interpolation over a sorted copy of
+    the sample, the same estimator ``numpy.quantile`` defaults to.  The
+    sum is always taken in observation order, so it does not depend on
+    whether a quantile was read first.
     """
 
     kind = "summary"
@@ -226,54 +241,60 @@ class Histogram(_Instrument):
         # Exposition order must be ascending regardless of caller order
         # (scrapers treat the quantile series like histogram buckets).
         self.quantiles = tuple(sorted(dict.fromkeys(quantiles)))
-        self._observations: Dict[LabelKey, List[float]] = {}
-        self._sorted: Dict[LabelKey, bool] = {}
+        #: Sorted copy per bucket; buckets only grow, so same length = current.
+        self._sorted: Dict[LabelKey, List[float]] = {}
 
     def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
-        bucket = self._observations.get(key)
-        if bucket is None:
-            bucket = self._observations[key] = []
-        bucket.append(float(value))
-        self._sorted[key] = False
+        self.bucket(**labels).append(float(value))
 
-    def _sorted_bucket(self, key: LabelKey) -> List[float]:
-        bucket = self._observations.get(key, [])
-        if not self._sorted.get(key, True):
-            bucket.sort()
-            self._sorted[key] = True
+    def bucket(self, **labels: Any) -> List[float]:
+        """The observation list of ``labels``: a writer that binds it
+        once appends floats to it instead of calling :meth:`observe`."""
+        key = _label_key(labels)
+        bucket = self._values.get(key)
+        if bucket is None:
+            bucket = self._values[key] = []
         return bucket
 
+    def _read(self) -> Dict[LabelKey, List[float]]:
+        # A bound bucket nobody appended to yet is not a sample.
+        return {key: bucket for key, bucket in self._values.items() if bucket}
+
+    def _sorted_bucket(self, key: LabelKey, bucket: List[float]) -> List[float]:
+        ordered = self._sorted.get(key)
+        if ordered is None or len(ordered) != len(bucket):
+            ordered = self._sorted[key] = sorted(bucket)
+        return ordered
+
     def count(self, **labels: Any) -> int:
-        return len(self._observations.get(_label_key(labels), []))
+        return len(self._read().get(_label_key(labels), []))
 
     def sum(self, **labels: Any) -> float:
-        return float(sum(self._observations.get(_label_key(labels), [])))
+        return float(sum(self._read().get(_label_key(labels), [])))
 
     def quantile(self, q: float, **labels: Any) -> float:
         """Interpolated ``q``-quantile of the observations (NaN if empty)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
-        bucket = self._sorted_bucket(_label_key(labels))
-        if not bucket:
-            return float("nan")
-        if len(bucket) == 1:
-            return bucket[0]
-        position = q * (len(bucket) - 1)
-        low = int(math.floor(position))
-        high = min(low + 1, len(bucket) - 1)
-        fraction = position - low
-        return bucket[low] * (1.0 - fraction) + bucket[high] * fraction
+        key = _label_key(labels)
+        return _interpolate(
+            self._sorted_bucket(key, self._read().get(key, [])), q
+        )
+
+    def _quantiles(self, key: LabelKey, bucket: List[float]) -> Dict[float, float]:
+        ordered = self._sorted_bucket(key, bucket)
+        return {q: _interpolate(ordered, q) for q in self.quantiles}
 
     def render(self) -> List[str]:
+        observations = self._read()
         lines = self._header()
-        for key in sorted(self._observations):
-            bucket = self._sorted_bucket(key)
-            for q in self.quantiles:
+        for key in sorted(observations):
+            bucket = observations[key]
+            for q, value in self._quantiles(key, bucket).items():
                 extra = (("quantile", _format_value(q)),)
                 lines.append(
                     f"{self.name}{_render_labels(key, extra)} "
-                    f"{_format_value(self.quantile(q, **dict(key)))}"
+                    f"{_format_value(value)}"
                 )
             lines.append(
                 f"{self.name}_count{_render_labels(key)} {len(bucket)}"
@@ -282,7 +303,7 @@ class Histogram(_Instrument):
                 f"{self.name}_sum{_render_labels(key)} "
                 f"{_format_value(float(sum(bucket)))}"
             )
-        if not self._observations:
+        if not observations:
             lines.append(f"{self.name}_count 0")
             lines.append(f"{self.name}_sum 0")
         return lines
@@ -297,13 +318,25 @@ class Histogram(_Instrument):
                     "count": len(bucket),
                     "sum": float(sum(bucket)),
                     "quantiles": {
-                        _format_value(q): self.quantile(q, **dict(key))
-                        for q in self.quantiles
+                        _format_value(q): value
+                        for q, value in self._quantiles(key, bucket).items()
                     },
                 }
-                for key, bucket in sorted(self._observations.items())
+                for key, bucket in sorted(self._read().items())
             ],
         }
+
+
+def _interpolate(ordered: List[float], q: float) -> float:
+    if not ordered:
+        return float("nan")
+    if len(ordered) == 1:
+        return ordered[0]
+    position = q * (len(ordered) - 1)
+    low = int(math.floor(position))
+    high = min(low + 1, len(ordered) - 1)
+    fraction = position - low
+    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
 
 
 class MetricsRegistry:

@@ -105,8 +105,22 @@ class _NullInstrument:
     def value(self, **labels: Any) -> float:
         return 0.0
 
+    def collect_from(self, source: Any) -> None:
+        pass
+
+    def bucket(self, **labels: Any) -> "_NullBucket":
+        return _NULL_BUCKET
+
+
+class _NullBucket(list):
+    """A histogram bucket that keeps nothing."""
+
+    def append(self, value: Any) -> None:
+        pass
+
 
 _NULL_INSTRUMENT = _NullInstrument()
+_NULL_BUCKET = _NullBucket()
 
 
 class _NullMetricsRegistry:

@@ -246,7 +246,10 @@ class SpanTracer:
             self, Span(name=name, start=self._now(), attributes=attributes)
         )
 
-    def _count(self, name: str, wall: float, experiment: float) -> None:
+    def stats(self, name: str) -> Dict[str, float]:
+        """The summary entry of ``name``: a caller that times a hot
+        operation itself adds its count and seconds here directly,
+        which is what an unkept span would add."""
         stats = self._summary.get(name)
         if stats is None:
             stats = self._summary[name] = {
@@ -254,6 +257,10 @@ class SpanTracer:
                 "wall_seconds": 0.0,
                 "experiment_seconds": 0.0,
             }
+        return stats
+
+    def _count(self, name: str, wall: float, experiment: float) -> None:
+        stats = self.stats(name)
         stats["count"] += 1
         stats["wall_seconds"] += wall
         stats["experiment_seconds"] += experiment
@@ -268,7 +275,9 @@ class SpanTracer:
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Per-name aggregate: count, wall seconds, experiment seconds."""
         return {
-            name: dict(stats) for name, stats in sorted(self._summary.items())
+            name: dict(stats)
+            for name, stats in sorted(self._summary.items())
+            if stats["count"]
         }
 
 

@@ -9,7 +9,6 @@ sequences, and the engine guarantees ties break by insertion order.
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Callable, List, Optional, Tuple
 
 from ..observability import NULL_RECORDER
@@ -21,27 +20,27 @@ class SimulationEngine:
     """A simulated clock plus an ordered callback queue.
 
     Args:
-        recorder: observability facade; when live, the engine counts
-            dispatched events (``sim_events_total``) and tracks queue
-            depth (``sim_queue_depth``) so run loops are inspectable.
+        recorder: observability facade; when live, the engine's
+            dispatched events (``sim_events_total``) and its queue depth
+            at the last dispatch (``sim_queue_depth``) are views, so run
+            loops are inspectable at no per-event metric call.
     """
 
     def __init__(self, recorder=None) -> None:
         self._now = 0.0
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
-        self._sequence = itertools.count()
+        self._scheduled = 0  # events ever queued; also the tie-breaker
+        self._depth = 0  # heap size right after the last dispatch
         self._stopped = False
-        recorder = recorder if recorder is not None else NULL_RECORDER
-        # The event loop is the hottest path in every simulated bench;
-        # when instrumentation is off, skip the two no-op metric calls
-        # per event instead of paying their dispatch cost.
-        self._instrumented = bool(getattr(recorder, "enabled", False))
-        self._m_events = recorder.metrics.counter(
+        metrics = (recorder if recorder is not None else NULL_RECORDER).metrics
+        metrics.counter(
             "sim_events_total", help="Simulator callbacks dispatched"
+        ).collect_from(
+            lambda: {(): self.dispatched} if self.dispatched else {}
         )
-        self._m_queue_depth = recorder.metrics.gauge(
+        metrics.gauge(
             "sim_queue_depth", help="Pending events in the simulator heap"
-        )
+        ).collect_from(lambda: {(): self._depth} if self.dispatched else {})
 
     @property
     def now(self) -> float:
@@ -52,6 +51,11 @@ class SimulationEngine:
     def pending_events(self) -> int:
         return len(self._heap)
 
+    @property
+    def dispatched(self) -> int:
+        """Callbacks run so far: every event queued and no longer pending."""
+        return self._scheduled - len(self._heap)
+
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay`` simulated seconds.
 
@@ -61,8 +65,9 @@ class SimulationEngine:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
+        self._scheduled += 1
         heapq.heappush(
-            self._heap, (self._now + delay, next(self._sequence), callback)
+            self._heap, (self._now + delay, self._scheduled, callback)
         )
 
     def stop(self) -> None:
@@ -94,8 +99,6 @@ class SimulationEngine:
                 break
             heapq.heappop(self._heap)
             self._now = event_time
-            if self._instrumented:
-                self._m_events.inc()
-                self._m_queue_depth.set(len(self._heap))
+            self._depth = len(self._heap)
             callback()
         return self._now

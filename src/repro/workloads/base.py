@@ -85,7 +85,7 @@ class DomainSpec:
         return self.normalize(self.kill_threshold)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpochResult:
     """One epoch of training as observed by the Node Agent.
 

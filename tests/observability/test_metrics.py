@@ -11,6 +11,7 @@ from repro.observability.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    format_value,
     normalize_name,
 )
 
@@ -114,6 +115,65 @@ class TestHistogram:
         assert h.quantile(1.0) == 1.0
         h.observe(9.0)
         assert h.quantile(1.0) == 9.0
+
+
+    def test_two_reads_of_an_unchanged_registry_are_equal(self):
+        # The sum is taken in observation order: a quantile read (which
+        # sorts a copy) must not change what a later read sums.
+        reg = MetricsRegistry()
+        h = reg.histogram("h")
+        values = [0.1 * (7 * i % 13) + 1e-3 * i for i in range(200)]
+        for v in values:
+            h.observe(v)
+        first, text = reg.to_dict(), reg.render_text()
+        assert reg.to_dict() == first
+        assert reg.render_text() == text
+        assert first["h"]["samples"][0]["sum"] == float(sum(values))
+        assert h.sum() == float(sum(values))
+
+    def test_the_sum_is_taken_in_observation_order(self):
+        # Summed sorted, these read 0.0 instead of 1.0 (where ``sum``
+        # adds left to right, as before Python 3.12).
+        h = Histogram("h")
+        values = [1e16, 1.0, -1e16, 1.0]
+        for v in values:
+            h.observe(v)
+        h.quantile(0.5)
+        assert h.sum() == sum(values)
+        assert h.to_dict()["samples"][0]["sum"] == sum(values)
+        assert h.render()[-1] == f"h_sum {format_value(sum(values))}"
+
+    def test_a_bound_bucket_is_the_observation_list(self):
+        h = Histogram("h")
+        bucket = h.bucket(phase="fit")
+        assert h.to_dict()["samples"] == []  # bound, not yet a sample
+        assert h.render()[-2:] == ["h_count 0", "h_sum 0"]
+        bucket.extend([3.0, 1.0])
+        assert h.count(phase="fit") == 2 and h.quantile(0.0, phase="fit") == 1.0
+        bucket.append(0.5)
+        assert h.quantile(0.0, phase="fit") == 0.5
+        assert h.bucket(phase="fit") is bucket
+
+
+class TestViews:
+    def test_a_view_reads_its_source_at_every_read(self):
+        state = {"epochs": 0}
+        c = Counter("epochs")
+        c.collect_from(lambda: {(): state["epochs"]} if state["epochs"] else {})
+        assert c.samples() == [] and c.render()[-1] == "epochs 0"
+        state["epochs"] = 3
+        assert c.value() == 3.0 and isinstance(c.value(), float)
+        assert c.to_dict()["samples"] == [{"labels": {}, "value": 3.0}]
+
+    def test_sources_merge_as_if_each_wrote_in_turn(self):
+        c, g = Counter("c"), Gauge("g")
+        for source in ({(("to", "run"),): 2}, {(("to", "run"),): 1,
+                                                (("to", "end"),): 4}):
+            c.collect_from(lambda source=source: source)
+        assert c.samples() == [({"to": "run"}, 3.0), ({"to": "end"}, 4.0)]
+        g.collect_from(lambda: {(): 1, (("k", "a"),): 7})
+        g.collect_from(lambda: {(): 2})
+        assert g.value() == 2.0 and g.value(k="a") == 7.0
 
 
 class TestMetricsRegistry:
