@@ -55,8 +55,9 @@ class RemoteAgent:
         self.machine_id = machine_id
         self._transport = transport
         self._timeout = rpc_timeout
-        # Experiment clock shipped on every RPC so the worker can stamp
-        # its spans on the head's time axis.
+        # Experiment clock shipped, with the trace context, on every RPC
+        # so the worker can stamp its spans on the head's time axis.
+        # None when nothing reads worker spans: RPCs then carry no trace.
         self._clock = clock
         self._reply_topic = f"reply/{machine_id}"
         self._replies = transport.declare_topic(self._reply_topic)
@@ -180,12 +181,11 @@ class RemoteAgent:
 
     def _call(self, method: str, timeout: Optional[float] = None, **args: Any) -> Any:
         deadline = timeout if timeout is not None else self._timeout
-        context = current_trace()
         trace: Optional[Dict[str, Any]] = None
-        if context is not None or self._clock is not None:
+        if self._clock is not None:
+            context = current_trace()
             trace = {} if context is None else dict(context.to_dict())
-            if self._clock is not None:
-                trace["clock"] = self._clock()
+            trace["clock"] = self._clock()
         with self._rpc_lock:
             if self._dead.is_set():
                 raise NodeFailure(self.machine_id, "node is down")

@@ -7,8 +7,9 @@ envelope fields (``topic``, ``kind``, ``payload``, ``sender``) so the
 socket hop preserves the in-process bus discipline exactly.  Frames
 may additionally carry a ``trace`` field — the sender's trace context
 (``{"trace_id", "span_id"}``, plus the head's experiment clock on
-RPCs) — so spans recorded on either side of the socket join one
-distributed trace (see ``docs/observability.md``).
+RPCs to workers that record telemetry) — so spans recorded on either
+side of the socket join one distributed trace (see
+``docs/observability.md``).
 
 Payloads may contain numpy arrays and scalars (model weights inside
 suspend snapshots, curve-prediction sample matrices); those are encoded
@@ -18,7 +19,9 @@ as tagged JSON objects::
     {"__bytes__": "<base64>"}
 
 so the protocol stays inspectable with ``nc``/``tcpdump`` while still
-round-tripping binary state bit-exactly.
+round-tripping binary state bit-exactly.  Each direction is one pass:
+the JSON encoder tags those values through its ``default`` hook and
+the decoder untags them through its ``object_hook``.
 """
 
 from __future__ import annotations
@@ -75,24 +78,59 @@ def encode_payload(value: Any) -> Any:
 
 
 def decode_payload(value: Any) -> Any:
-    """Invert :func:`encode_payload` (tagged objects back to binary)."""
+    """Invert :func:`encode_payload` (tagged objects back to binary).
+
+    Raises:
+        FrameError: on a tagged object that does not decode.
+    """
     if isinstance(value, dict):
-        if set(value) == {"__nd__"}:
-            spec = value["__nd__"]
-            raw = base64.b64decode(spec["data"])
-            array = np.frombuffer(raw, dtype=np.dtype(spec["dtype"]))
-            return array.reshape(spec["shape"]).copy()
-        if set(value) == {"__bytes__"}:
-            return base64.b64decode(value["__bytes__"])
-        return {key: decode_payload(item) for key, item in value.items()}
+        return _untag({key: decode_payload(item) for key, item in value.items()})
     if isinstance(value, list):
         return [decode_payload(item) for item in value]
     return value
 
 
+def _tag(value: Any) -> Any:
+    """``json.dumps`` hook: the values JSON cannot write itself."""
+    if isinstance(value, (np.ndarray, bytes, bytearray, np.generic)):
+        return encode_payload(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _untag(document: Dict[str, Any]) -> Any:
+    """``json.loads`` hook: one decoded object, its members already done."""
+    if len(document) != 1:
+        return document
+    try:
+        if "__nd__" in document:
+            spec = document["__nd__"]
+            raw = base64.b64decode(spec["data"], validate=True)
+            array = np.frombuffer(raw, dtype=np.dtype(spec["dtype"]))
+            return array.reshape(spec["shape"]).copy()
+        if "__bytes__" in document:
+            return base64.b64decode(document["__bytes__"], validate=True)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FrameError(f"malformed tagged object: {exc!r}") from exc
+    return document
+
+
+# Built once, as ``json`` builds its own defaults: keyword arguments to
+# ``json.dumps``/``json.loads`` would build a new coder per frame.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_tag)
+_DECODER = json.JSONDecoder(object_hook=_untag)
+
+
 def pack_frame(document: Dict[str, Any]) -> bytes:
-    """Serialise one frame (length prefix + JSON body)."""
-    body = json.dumps(encode_payload(document), separators=(",", ":")).encode("utf-8")
+    """Serialise one frame (length prefix + JSON body) in one pass.
+
+    The bytes are those of the compact
+    ``json.dumps(encode_payload(document))`` for every document whose
+    dict keys are strings, which is every frame the cluster sends.
+    Other keys are written as JSON writes them (``1`` as ``"1"``,
+    ``True`` as ``"true"``); a key JSON cannot write (a tuple, a numpy
+    integer) raises ``TypeError``.
+    """
+    body = _ENCODER.encode(document).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {len(body)} bytes exceeds protocol maximum")
     return _LENGTH.pack(len(body)) + body
@@ -122,7 +160,8 @@ def recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
 
     Raises:
         FrameError: on a truncated stream, an oversized length prefix,
-            or a body that is not a JSON object.
+            a body that is not a JSON object, or a tagged object that
+            does not decode.
     """
     prefix = _recv_exact(sock, _LENGTH.size)
     if prefix is None:
@@ -134,9 +173,9 @@ def recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
     if body is None:
         raise FrameError("stream ended mid-frame")
     try:
-        document = json.loads(body.decode("utf-8"))
+        document = _DECODER.decode(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FrameError(f"malformed frame body: {exc}") from exc
     if not isinstance(document, dict):
         raise FrameError("frame body must be a JSON object")
-    return decode_payload(document)
+    return document

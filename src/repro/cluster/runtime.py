@@ -93,6 +93,14 @@ class _ClusterExperiment(ThreadedExperiment):
         **common: Any,
     ) -> None:
         self.transport = ClusterTransport()
+        recorder = common.get("recorder")
+        if aggregator is None and recorder is not None and recorder.enabled:
+            aggregator = TelemetryAggregator()
+        self.aggregator = aggregator
+        # Workers record and ship telemetry, and RPCs carry the trace
+        # context and clock their spans need, only for a head that
+        # aggregates it.
+        worker_clock = self._clock if aggregator is not None else None
         # Node Agents live in worker processes; the scheduler gets
         # socket proxies and no head-side predictor (predictions are
         # remote, §5.2's distributed shape).  Driver mailboxes are
@@ -104,7 +112,7 @@ class _ClusterExperiment(ThreadedExperiment):
             spec,
             time_scale,
             agent_factory=lambda machine_id, **_ignored: RemoteAgent(
-                machine_id, self.transport, clock=self._clock,
+                machine_id, self.transport, clock=worker_clock,
             ),
             bus=self.transport,
             **common,
@@ -164,14 +172,10 @@ class _ClusterExperiment(ThreadedExperiment):
         self._next_cost_record = 0.0
         self._budget_exhausted_logged = False
         self._membership_box = self.transport.declare_topic("membership")
-        # Workers ship telemetry unconditionally; the mailbox is always
-        # declared so the frames never trip strict delivery.  They are
-        # only *used* when an aggregator exists.
+        # Workers ship telemetry only when there is an aggregator; the
+        # mailbox is declared either way, so delivery stays strict.
         self._telemetry_box = self.transport.declare_topic(TELEMETRY)
         self.telemetry_interval = telemetry_interval
-        if aggregator is None and self.recorder.enabled:
-            aggregator = TelemetryAggregator()
-        self.aggregator = aggregator
         if self.aggregator is not None:
             self.aggregator.on_event = self._on_shipped_event
         self.heartbeat = HeartbeatMonitor(
@@ -243,7 +247,7 @@ class _ClusterExperiment(ThreadedExperiment):
                 self.spec.seed + index,
                 self.fault_plan.for_machine(machine_id).to_dicts(),
                 self.time_scale,
-                self.telemetry_interval,
+                self.telemetry_interval if self.aggregator is not None else None,
             ),
             name=f"cluster-worker-{machine_id}",
             daemon=True,
@@ -798,7 +802,8 @@ def run_cluster(
         aggregator: telemetry sink merging per-node registries shipped
             by the workers; auto-created whenever a real recorder is
             attached (pass your own to share one across runs, as the
-            service daemon does).
+            service daemon does).  Without one, workers record and
+            ship no telemetry.
         telemetry_interval: wall seconds between worker telemetry
             batches (and head self-ingests).
         fleet: elasticity and economics: ``autoscale=(min, max)``

@@ -10,14 +10,16 @@ with ``rpc`` frames mirroring the agent's method surface
 from its mailbox and replies to the head-local ``reply/<machine-id>``
 topic.
 
-Observability: each worker owns a full
-:class:`~repro.observability.recorder.Recorder` — metrics registry,
-span tracer on a head-synchronised experiment clock, audit trail — and
-a :class:`TelemetryShipper` thread that periodically ships metric
-snapshots plus span/audit deltas to the head as TELEMETRY frames.  RPC
-frames carry the head's trace context (and experiment clock); the
-worker re-activates it around dispatch so ``worker.train_epoch`` and
-the agent's snapshot/predict spans join the head-minted trace.
+Observability: when the head aggregates telemetry, each worker owns a
+full :class:`~repro.observability.recorder.Recorder` — metrics
+registry, span tracer on a head-synchronised experiment clock, audit
+trail — and a :class:`TelemetryShipper` thread that periodically ships
+metric snapshots plus span/audit deltas to the head as TELEMETRY
+frames.  RPC frames then carry the head's trace context (and
+experiment clock); the worker re-activates it around dispatch so
+``worker.train_epoch`` and the agent's snapshot/predict spans join the
+head-minted trace.  A head with no aggregator reads none of it, so its
+workers run the null recorder and ship nothing.
 
 Fault injection hooks live here and in the endpoint:
 
@@ -49,7 +51,7 @@ from typing import Any, Dict, Optional
 from ..curves.predictor import CurvePrediction, CurvePredictor
 from ..framework.node_agent import NodeAgent
 from ..framework.snapshot import Snapshot, cost_model_for_domain
-from ..observability import Recorder
+from ..observability import NULL_RECORDER, Recorder
 from ..observability.tracing import TraceContext, trace_context
 from ..workloads.base import Workload
 from .faults import FaultPlan, SpotRevocation
@@ -98,10 +100,12 @@ class TelemetryShipper:
 
     Metrics go as full snapshots (latest wins at the aggregator, so a
     lost frame costs staleness, not correctness); finished spans and
-    audit records go as deltas tracked by list cursors.  A failed send
-    leaves the cursors untouched — the next tick retries the same
-    delta.  Shipping must never hurt the worker: every failure is
-    swallowed (logged at debug level).
+    audit records go as deltas: everything recorded since the last
+    batch, dropped from the recorder once its send succeeds, so a
+    long-lived worker holds only what it has not shipped yet.  A failed
+    send drops nothing — the next tick retries the same delta.
+    Shipping must never hurt the worker: every failure is swallowed
+    (logged at debug level).
     """
 
     def __init__(
@@ -114,8 +118,9 @@ class TelemetryShipper:
         self._recorder = recorder
         self.interval = interval
         self._seq = 0
-        self._spans_sent = 0
-        self._audit_sent = 0
+        # The shipper thread and the shutdown RPC's final flush both
+        # ship; one batch at a time, so no record is dropped unsent.
+        self._ship_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -143,28 +148,30 @@ class TelemetryShipper:
             self.ship()
 
     def ship(self) -> bool:
-        """Send one batch; True on success (cursors advanced)."""
-        try:
+        """Send one batch; True on success (its records dropped)."""
+        with self._ship_lock:
             spans = self._recorder.tracer.spans
             audit = self._recorder.audit.records
-            new_spans = [s.to_dict() for s in spans[self._spans_sent:]]
-            new_audit = [r.to_dict() for r in audit[self._audit_sent:]]
-            batch = {
-                "seq": self._seq,
-                "metrics": self._recorder.metrics.to_dict(),
-                "spans": new_spans,
-                "audit": new_audit,
-            }
-            self._endpoint.send(TELEMETRY, TELEMETRY, batch)
-        except NodeFailure:
-            return False  # link down; retry the same delta next tick
-        except Exception:  # noqa: BLE001 — telemetry must not kill training
-            logger.debug("telemetry batch failed", exc_info=True)
-            return False
-        self._seq += 1
-        self._spans_sent += len(new_spans)
-        self._audit_sent += len(new_audit)
-        return True
+            # The main loop only appends, so the first n records stay
+            # the first n until this batch deletes them.
+            n_spans, n_audit = len(spans), len(audit)
+            try:
+                batch = {
+                    "seq": self._seq,
+                    "metrics": self._recorder.metrics.to_dict(),
+                    "spans": [s.to_dict() for s in spans[:n_spans]],
+                    "audit": [r.to_dict() for r in audit[:n_audit]],
+                }
+                self._endpoint.send(TELEMETRY, TELEMETRY, batch)
+            except NodeFailure:
+                return False  # link down; retry the same delta next tick
+            except Exception:  # noqa: BLE001 — telemetry must not kill training
+                logger.debug("telemetry batch failed", exc_info=True)
+                return False
+            del spans[:n_spans]
+            del audit[:n_audit]
+            self._seq += 1
+            return True
 
 
 def snapshot_to_wire(snapshot: Optional[Snapshot]) -> Optional[Dict[str, Any]]:
@@ -221,7 +228,7 @@ class _WorkerHost:
         self.endpoint = endpoint
         self.agent = agent
         self._kill_epoch = kill_epoch
-        self._recorder = recorder if recorder is not None else Recorder()
+        self._recorder = recorder if recorder is not None else NULL_RECORDER
         self._clock = clock
         self._shipper = shipper
         self._revocation = revocation
@@ -372,18 +379,26 @@ def worker_main(
     seed: int,
     fault_specs: list,
     time_scale: float = 1e-3,
-    telemetry_interval: float = 0.25,
+    telemetry_interval: Optional[float] = 0.25,
 ) -> None:
-    """Entry point of one worker process (multiprocessing spawn target)."""
+    """Entry point of one worker process (multiprocessing spawn target).
+
+    ``telemetry_interval`` is the wall seconds between telemetry
+    batches, or None when the head aggregates no telemetry: the worker
+    then records nothing and starts no shipper.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the head owns shutdown
     plan = FaultPlan.from_dicts(fault_specs)
-    clock = _WorkerClock(time_scale)
-    recorder = Recorder(clock=clock, trace=True)
-    # Guaranteed non-empty registry: every node renders at least one
-    # node-labelled sample on the merged export from its first batch.
-    recorder.metrics.gauge(
-        "worker_up", help="1 while this worker process is alive"
-    ).set(1.0)
+    clock: Optional[_WorkerClock] = None
+    recorder = NULL_RECORDER
+    if telemetry_interval is not None:
+        clock = _WorkerClock(time_scale)
+        recorder = Recorder(clock=clock, trace=True)
+        # Guaranteed non-empty registry: every node renders at least one
+        # node-labelled sample on the merged export from its first batch.
+        recorder.metrics.gauge(
+            "worker_up", help="1 while this worker process is alive"
+        ).set(1.0)
     agent = NodeAgent(
         machine_id=machine_id,
         workload=workload,
@@ -400,8 +415,10 @@ def worker_main(
     except OSError:
         if not endpoint.reconnect():
             return
-    shipper = TelemetryShipper(endpoint, recorder, interval=telemetry_interval)
-    shipper.start()
+    shipper: Optional[TelemetryShipper] = None
+    if telemetry_interval is not None:
+        shipper = TelemetryShipper(endpoint, recorder, interval=telemetry_interval)
+        shipper.start()
     host_loop = _WorkerHost(
         machine_id, endpoint, agent, plan.kill_epoch(machine_id),
         recorder=recorder, clock=clock, shipper=shipper,
@@ -423,5 +440,6 @@ def worker_main(
             if message.kind == RPC:
                 host_loop.handle(message.payload, trace=message.trace)
     finally:
-        shipper.stop(flush=True)
+        if shipper is not None:
+            shipper.stop(flush=True)
         endpoint.close()
