@@ -1,8 +1,10 @@
 """Workloads: what HyperDrive schedules.
 
-Two calibrated synthetic workloads stand in for the paper's GPU/Gym
-testbeds (see DESIGN.md §2 for the substitution argument), and one real
-numpy-MLP workload demonstrates genuine end-to-end training.
+Three calibrated synthetic workloads (CIFAR-10, LunarLander and the §9
+LSTM sparsity study) stand in for the paper's GPU/Gym testbeds (see
+DESIGN.md §2 for the substitution argument); they share the bases in
+:mod:`.calibration`.  One real numpy-MLP workload demonstrates genuine
+end-to-end training.
 """
 
 from .base import DomainSpec, EpochResult, TrainingRun, Workload

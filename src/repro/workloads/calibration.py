@@ -16,6 +16,10 @@ are non-learners).  We achieve this exactly rather than by hand-tuning:
    *target* final-performance distribution (e.g. the Fig. 2a CDF), so
    the population statistics match the paper by construction while the
    score structure decides *which* configurations are the good ones.
+
+The synthetic workloads build on :class:`CalibratedWorkload`, their runs
+on :class:`SeededRun` (one resumable noise stream) and, for the curve
+workloads, :class:`SyntheticRun` (a noiseless curve seen through it).
 """
 
 from __future__ import annotations
@@ -27,8 +31,12 @@ from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple
 import numpy as np
 
 from ..generators.space import SearchSpace
+from .base import DomainSpec, EpochResult, TrainingRun, Workload
 
-__all__ = ["QualityCalibrator", "config_key", "stable_config_seed", "static_run_parts"]
+__all__ = [
+    "CalibratedWorkload", "QualityCalibrator", "SeededRun", "SyntheticRun",
+    "config_key", "stable_config_seed",
+]
 
 #: Per-process memo of sorted reference scores, keyed by everything they
 #: depend on: ``(score_fn, space dimensions, n_reference, seed)``.  The
@@ -193,7 +201,7 @@ def stable_config_seed(config: Dict[str, Any], salt: int = 0) -> int:
     return acc & 0x7FFFFFFFFFFFFFFF
 
 
-#: Per-process memo of what a synthetic workload's ``create_run`` derives
+#: Per-process memo of what :meth:`CalibratedWorkload.create_run` derives
 #: from the configuration alone: a lab study or a suspend/resume cycle
 #: creates runs of the same configurations over and over, and only the
 #: noise stream is new.  Cleared when full, like :data:`_FNV_CACHE`.
@@ -201,33 +209,170 @@ _STATIC_CACHE: Dict[Hashable, Tuple[float, np.ndarray, float]] = {}
 _STATIC_CACHE_LIMIT = 4096
 
 
-def static_run_parts(
-    calibrator: QualityCalibrator,
-    space: SearchSpace,
-    config: Dict[str, Any],
-    max_epochs: int,
-    true_curve: Callable[[Dict[str, Any], float, int], np.ndarray],
-    epoch_seconds: Callable[[Dict[str, Any]], float],
-) -> Tuple[float, np.ndarray, float]:
-    """``config``'s calibrated quantile, noiseless curve (read-only) and
-    mean epoch seconds, memoised per process.
+class SeededRun(TrainingRun):
+    """A synthetic run that draws every observation from one noise
+    stream, seeded by the configuration and ``salt + seed``.
 
-    The key is everything they depend on: the calibration (its score
-    function and seed), the configuration's content and ``max_epochs``.
-    Equal configuration keys mean equal values of equal types, so a
-    configuration is validated against ``space`` only when it misses.
+    The epoch and the stream's state are the whole resumable state, so
+    a restored snapshot continues the stream bit for bit.
     """
-    key = (
-        calibrator._score_fn, calibrator._seed, config_key(config), max_epochs
-    )
-    parts = _STATIC_CACHE.get(key)
-    if parts is None:
-        space.validate(config)
-        quantile = calibrator.quantile(config)
-        curve = true_curve(config, quantile, max_epochs)
-        curve.setflags(write=False)
-        parts = (quantile, curve, epoch_seconds(config))
-        if len(_STATIC_CACHE) >= _STATIC_CACHE_LIMIT:
-            _STATIC_CACHE.clear()
-        _STATIC_CACHE[key] = parts
-    return parts
+
+    #: Added to the run seed, so each workload draws its own stream.
+    salt: int
+
+    def __init__(
+        self, config: Dict[str, Any], quantile: float, seed: int, max_epochs: int
+    ) -> None:
+        self._config = dict(config)
+        self._quantile = quantile
+        self._max_epochs = max_epochs
+        self._epoch = 0
+        self._rng = np.random.default_rng(stable_config_seed(config, self.salt + seed))
+
+    @property
+    def config(self) -> Dict[str, Any]:
+        return dict(self._config)
+
+    @property
+    def epochs_completed(self) -> int:
+        return self._epoch
+
+    @property
+    def finished(self) -> bool:
+        return self._epoch >= self._max_epochs
+
+    def snapshot_state(self) -> Dict[str, Any]:
+        return {"epoch": self._epoch, "rng_state": self._rng.bit_generator.state}
+
+    def restore_state(self, state: Dict[str, Any]) -> None:
+        epoch = int(state["epoch"])
+        if not 0 <= epoch <= self._max_epochs:
+            raise ValueError(f"snapshot epoch {epoch} out of range")
+        self._rng.bit_generator.state = state["rng_state"]
+        self._epoch = epoch
+
+
+class SyntheticRun(SeededRun):
+    """A noiseless per-epoch curve observed through noise.
+
+    ``true_curve`` (one entry per epoch) and ``epoch_seconds`` are the
+    configuration's static parts; the run seed only drives the noise.
+    Each epoch draws the metric's absolute noise, clipped to
+    :attr:`bounds`, then the duration's relative noise.
+    """
+
+    metric_noise: float
+    duration_noise: float
+    bounds: Tuple[float, float]
+
+    def __init__(
+        self,
+        config: Dict[str, Any],
+        quantile: float,
+        seed: int,
+        true_curve: np.ndarray,
+        epoch_seconds: float,
+    ) -> None:
+        super().__init__(config, quantile, seed, len(true_curve))
+        self._true_curve = true_curve
+        self._epoch_seconds = epoch_seconds
+
+    def step(self) -> EpochResult:
+        if self.finished:
+            raise RuntimeError("training run already finished")
+        self._epoch += 1
+        true_value = float(self._true_curve[self._epoch - 1])
+        observed = true_value + self.metric_noise * float(self._rng.standard_normal())
+        observed = min(max(observed, self.bounds[0]), self.bounds[1])
+        duration = self._epoch_seconds * float(
+            1.0 + self.duration_noise * self._rng.standard_normal()
+        )
+        return EpochResult(
+            epoch=self._epoch,
+            duration=max(duration, 1.0),
+            metric=observed,
+            done=self.finished,
+        )
+
+    def observed_stream(self) -> tuple:
+        """The full observed stream, batched (trace-recording hook).
+
+        One vectorized draw consuming the same RNG stream ``step``
+        would — ``standard_normal(2E)`` equals ``2E`` sequential scalar
+        draws — so ``(durations, metrics)`` match epoch-by-epoch
+        stepping bit for bit.  Consumes the run: call on a fresh run.
+        """
+        if self._epoch != 0:
+            raise RuntimeError("observed_stream requires a fresh run")
+        noise = self._rng.standard_normal(2 * self._max_epochs)
+        metrics = np.clip(
+            self._true_curve + self.metric_noise * noise[0::2], *self.bounds
+        )
+        durations = np.maximum(
+            self._epoch_seconds * (1.0 + self.duration_noise * noise[1::2]), 1.0
+        )
+        self._epoch = self._max_epochs
+        return durations, metrics
+
+
+class CalibratedWorkload(Workload):
+    """A search space, its :class:`QualityCalibrator` and its domain.
+
+    A curve workload also sets :attr:`run_class` (a :class:`SyntheticRun`)
+    and the two static parts of a configuration: :attr:`true_curve`
+    ``(config, quantile, max_epochs)`` and :attr:`mean_epoch_seconds`.
+    """
+
+    run_class: type
+    true_curve: Callable[[Dict[str, Any], float, int], np.ndarray]
+    mean_epoch_seconds: Callable[[Dict[str, Any]], float]
+
+    def __init__(
+        self,
+        space: SearchSpace,
+        score_fn: Callable[[Dict[str, Any]], float],
+        calibration_seed: int,
+        domain: DomainSpec,
+    ) -> None:
+        self._space = space
+        self._calibrator = QualityCalibrator(space, score_fn, seed=calibration_seed)
+        self._domain = domain
+
+    @property
+    def space(self) -> SearchSpace:
+        return self._space
+
+    @property
+    def domain(self) -> DomainSpec:
+        return self._domain
+
+    def quality_quantile(self, config: Dict[str, Any]) -> float:
+        """The calibrated quality quantile of ``config`` (analysis aid)."""
+        return self._calibrator.quantile(config)
+
+    def create_run(self, config: Dict[str, Any], seed: int = 0) -> SyntheticRun:
+        """A run of ``config`` built from its static parts, memoised per
+        process in :data:`_STATIC_CACHE`.
+
+        The key is everything they depend on: the calibration (its score
+        function and seed), the configuration's content and the epoch
+        budget.  Equal configuration keys mean equal values of equal
+        types, so a configuration is validated only when it misses.
+        """
+        calibrator, max_epochs = self._calibrator, self._domain.max_epochs
+        key = (calibrator._score_fn, calibrator._seed, config_key(config), max_epochs)
+        parts = _STATIC_CACHE.get(key)
+        if parts is None:
+            self._space.validate(config)
+            quantile = calibrator.quantile(config)
+            curve = self.true_curve(config, quantile, max_epochs)
+            curve.setflags(write=False)
+            parts = (quantile, curve, self.mean_epoch_seconds(config))
+            if len(_STATIC_CACHE) >= _STATIC_CACHE_LIMIT:
+                _STATIC_CACHE.clear()
+            _STATIC_CACHE[key] = parts
+        quantile, curve, epoch_seconds = parts
+        return self.run_class(
+            config=config, quantile=quantile, seed=seed,
+            true_curve=curve, epoch_seconds=epoch_seconds,
+        )

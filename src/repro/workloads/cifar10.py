@@ -39,8 +39,8 @@ from ..generators.space import (
     SearchSpace,
     Uniform,
 )
-from .base import DomainSpec, EpochResult, TrainingRun, Workload
-from .calibration import QualityCalibrator, stable_config_seed, static_run_parts
+from .base import DomainSpec
+from .calibration import CalibratedWorkload, SyntheticRun, stable_config_seed
 
 __all__ = ["cifar10_space", "Cifar10Workload", "SyntheticSupervisedRun"]
 
@@ -214,144 +214,43 @@ def _mean_epoch_seconds(config: Dict[str, Any]) -> float:
     return BASE_EPOCH_SECONDS * (1.0 + 0.3 * capacity_factor) * batch_factor
 
 
-class SyntheticSupervisedRun(TrainingRun):
+_DOMAIN = DomainSpec(
+    kind="supervised",
+    metric_name="validation_accuracy",
+    target=0.77,
+    kill_threshold=0.15,
+    random_performance=RANDOM_ACCURACY,
+    max_epochs=MAX_EPOCHS,
+    eval_boundary=10,
+)
+
+
+class SyntheticSupervisedRun(SyntheticRun):
     """A synthetic CIFAR-10 training run.
 
     The noiseless "true" learning curve is a deterministic function of
     the configuration (via its calibrated quantile); the run seed only
     controls per-epoch observation noise, reproducing the paper's ≤2%
-    run-to-run non-determinism.  ``true_curve`` (one entry per epoch)
-    and ``epoch_seconds`` are the configuration's static parts, built
-    by :meth:`Cifar10Workload.create_run`.
+    run-to-run non-determinism.
     """
 
-    def __init__(
-        self,
-        config: Dict[str, Any],
-        quantile: float,
-        seed: int,
-        true_curve: np.ndarray,
-        epoch_seconds: float,
-    ) -> None:
-        self._config = dict(config)
-        self._quantile = quantile
-        self._seed = seed
-        self._max_epochs = len(true_curve)
-        self._epoch = 0
-        self._rng = np.random.default_rng(
-            stable_config_seed(config, salt=1000 + seed)
-        )
-        self._true_curve = true_curve
-        self._epoch_seconds = epoch_seconds
-
-    # -------------------------------------------------------- TrainingRun
-
-    @property
-    def config(self) -> Dict[str, Any]:
-        return dict(self._config)
-
-    @property
-    def epochs_completed(self) -> int:
-        return self._epoch
-
-    @property
-    def finished(self) -> bool:
-        return self._epoch >= self._max_epochs
+    salt = 1000
+    metric_noise = 0.008
+    duration_noise = 0.03
+    bounds = (0.0, 1.0)
 
     @property
     def true_final_accuracy(self) -> float:
         """Noiseless end-of-training accuracy (analysis helper)."""
         return float(self._true_curve[-1])
 
-    def step(self) -> EpochResult:
-        if self.finished:
-            raise RuntimeError("training run already finished")
-        self._epoch += 1
-        true_value = float(self._true_curve[self._epoch - 1])
-        observed = true_value + 0.008 * float(self._rng.standard_normal())
-        observed = min(max(observed, 0.0), 1.0)
-        duration = self._epoch_seconds * float(
-            1.0 + 0.03 * self._rng.standard_normal()
-        )
-        return EpochResult(
-            epoch=self._epoch,
-            duration=max(duration, 1.0),
-            metric=observed,
-            done=self.finished,
-        )
 
-    def observed_stream(self) -> tuple:
-        """The full observed stream, batched (trace-recording hook).
-
-        One vectorized draw consuming the same RNG stream ``step``
-        would — ``standard_normal(2E)`` equals ``2E`` sequential scalar
-        draws — so ``(durations, metrics)`` match epoch-by-epoch
-        stepping bit for bit.  Consumes the run: call on a fresh run.
-        """
-        if self._epoch != 0:
-            raise RuntimeError("observed_stream requires a fresh run")
-        noise = self._rng.standard_normal(2 * self._max_epochs)
-        metrics = np.clip(self._true_curve + 0.008 * noise[0::2], 0.0, 1.0)
-        durations = np.maximum(
-            self._epoch_seconds * (1.0 + 0.03 * noise[1::2]), 1.0
-        )
-        self._epoch = self._max_epochs
-        return durations, metrics
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "epoch": self._epoch,
-            "rng_state": self._rng.bit_generator.state,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._epoch = int(state["epoch"])
-        if not 0 <= self._epoch <= self._max_epochs:
-            raise ValueError(f"snapshot epoch {self._epoch} out of range")
-        self._rng.bit_generator.state = state["rng_state"]
-
-
-class Cifar10Workload(Workload):
+class Cifar10Workload(CalibratedWorkload):
     """Calibrated synthetic CIFAR-10 exploration problem."""
 
+    run_class = SyntheticSupervisedRun
+    true_curve = staticmethod(_true_curve)
+    mean_epoch_seconds = staticmethod(_mean_epoch_seconds)
+
     def __init__(self, calibration_seed: int = 20170711) -> None:
-        self._space = cifar10_space()
-        self._calibrator = QualityCalibrator(
-            self._space, _score, seed=calibration_seed
-        )
-        self._domain = DomainSpec(
-            kind="supervised",
-            metric_name="validation_accuracy",
-            target=0.77,
-            kill_threshold=0.15,
-            random_performance=RANDOM_ACCURACY,
-            max_epochs=MAX_EPOCHS,
-            eval_boundary=10,
-        )
-
-    @property
-    def space(self) -> SearchSpace:
-        return self._space
-
-    @property
-    def domain(self) -> DomainSpec:
-        return self._domain
-
-    def quality_quantile(self, config: Dict[str, Any]) -> float:
-        """The calibrated quality quantile of ``config`` (analysis aid)."""
-        return self._calibrator.quantile(config)
-
-    def create_run(
-        self, config: Dict[str, Any], seed: int = 0
-    ) -> SyntheticSupervisedRun:
-        quantile, curve, epoch_seconds = static_run_parts(
-            self._calibrator, self._space, config, MAX_EPOCHS,
-            _true_curve, _mean_epoch_seconds,
-        )
-        return SyntheticSupervisedRun(
-            config=config,
-            quantile=quantile,
-            seed=seed,
-            true_curve=curve,
-            epoch_seconds=epoch_seconds,
-        )
+        super().__init__(cifar10_space(), _score, calibration_seed, _DOMAIN)

@@ -31,8 +31,8 @@ from ..generators.space import (
     SearchSpace,
     Uniform,
 )
-from .base import DomainSpec, EpochResult, TrainingRun, Workload
-from .calibration import QualityCalibrator, stable_config_seed
+from .base import DomainSpec, EpochResult
+from .calibration import CalibratedWorkload, SeededRun, stable_config_seed
 
 __all__ = ["lstm_space", "LSTMSparsityWorkload", "SyntheticLSTMRun"]
 
@@ -80,8 +80,21 @@ def _score(config: Dict[str, Any]) -> float:
     return score
 
 
-class SyntheticLSTMRun(TrainingRun):
+_DOMAIN = DomainSpec(
+    kind="supervised",
+    metric_name="quality",  # 1 - perplexity / random_perplexity
+    target=0.88,  # perplexity <= ~96
+    kill_threshold=0.10,
+    random_performance=0.0,
+    max_epochs=MAX_EPOCHS,
+    eval_boundary=5,
+)
+
+
+class SyntheticLSTMRun(SeededRun):
     """Perplexity + sparsity curves for one configuration."""
+
+    salt = 900
 
     def __init__(
         self,
@@ -90,13 +103,7 @@ class SyntheticLSTMRun(TrainingRun):
         seed: int,
         max_epochs: int = MAX_EPOCHS,
     ) -> None:
-        self._config = dict(config)
-        self._quantile = quantile
-        self._max_epochs = max_epochs
-        self._epoch = 0
-        self._rng = np.random.default_rng(
-            stable_config_seed(config, salt=900 + seed)
-        )
+        super().__init__(config, quantile, seed, max_epochs)
         shape_rng = np.random.default_rng(stable_config_seed(config, salt=41))
         # Final perplexity from the calibrated quantile: best configs
         # approach BEST_PERPLEXITY, the worst stay near random.
@@ -133,18 +140,6 @@ class SyntheticLSTMRun(TrainingRun):
         return self._sparsity_plateau * ramp
 
     @property
-    def config(self) -> Dict[str, Any]:
-        return dict(self._config)
-
-    @property
-    def epochs_completed(self) -> int:
-        return self._epoch
-
-    @property
-    def finished(self) -> bool:
-        return self._epoch >= self._max_epochs
-
-    @property
     def true_final_quality(self) -> float:
         """Noiseless final primary metric (analysis helper)."""
         return 1.0 - self._final_ppl / RANDOM_PERPLEXITY
@@ -177,48 +172,12 @@ class SyntheticLSTMRun(TrainingRun):
             extras={"perplexity": ppl, "sparsity": sparsity},
         )
 
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "epoch": self._epoch,
-            "rng_state": self._rng.bit_generator.state,
-        }
 
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        epoch = int(state["epoch"])
-        if not 0 <= epoch <= self._max_epochs:
-            raise ValueError(f"snapshot epoch {epoch} out of range")
-        self._epoch = epoch
-        self._rng.bit_generator.state = state["rng_state"]
-
-
-class LSTMSparsityWorkload(Workload):
+class LSTMSparsityWorkload(CalibratedWorkload):
     """Perplexity/sparsity trade-off exploration (§9 Ongoing Work)."""
 
     def __init__(self, calibration_seed: int = 20170713) -> None:
-        self._space = lstm_space()
-        self._calibrator = QualityCalibrator(
-            self._space, _score, seed=calibration_seed
-        )
-        self._domain = DomainSpec(
-            kind="supervised",
-            metric_name="quality",  # 1 - perplexity / random_perplexity
-            target=0.88,  # perplexity <= ~96
-            kill_threshold=0.10,
-            random_performance=0.0,
-            max_epochs=MAX_EPOCHS,
-            eval_boundary=5,
-        )
-
-    @property
-    def space(self) -> SearchSpace:
-        return self._space
-
-    @property
-    def domain(self) -> DomainSpec:
-        return self._domain
-
-    def quality_quantile(self, config: Dict[str, Any]) -> float:
-        return self._calibrator.quantile(config)
+        super().__init__(lstm_space(), _score, calibration_seed, _DOMAIN)
 
     def create_run(self, config: Dict[str, Any], seed: int = 0) -> SyntheticLSTMRun:
         self._space.validate(config)

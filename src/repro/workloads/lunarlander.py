@@ -32,8 +32,8 @@ from ..generators.space import (
     SearchSpace,
     Uniform,
 )
-from .base import DomainSpec, EpochResult, TrainingRun, Workload
-from .calibration import QualityCalibrator, stable_config_seed, static_run_parts
+from .base import DomainSpec
+from .calibration import CalibratedWorkload, SyntheticRun, stable_config_seed
 
 __all__ = ["lunarlander_space", "LunarLanderWorkload", "SyntheticRLRun"]
 
@@ -175,49 +175,32 @@ def _mean_epoch_seconds(config: Dict[str, Any]) -> float:
     return BASE_EPOCH_SECONDS * (1.0 + 0.4 * capacity_factor) * batch_factor
 
 
-class SyntheticRLRun(TrainingRun):
+_DOMAIN = DomainSpec(
+    kind="reinforcement",
+    metric_name="reward",
+    target=SOLVED_REWARD,
+    kill_threshold=CRASH_REWARD,
+    random_performance=RANDOM_REWARD,
+    max_epochs=MAX_EPOCHS,
+    eval_boundary=20,  # 2,000 trials at 100 trials per epoch
+    r_min=REWARD_MIN,
+    r_max=REWARD_MAX,
+)
+
+
+class SyntheticRLRun(SyntheticRun):
     """A synthetic LunarLander training run.
 
     One :meth:`step` simulates 100 episode trials and reports their
     mean reward, so the solved condition ("average reward of 200 over
     100 consecutive trials") reads directly off the epoch metric.
-    ``true_curve`` (one entry per epoch) and ``epoch_seconds`` are the
-    configuration's static parts, built by
-    :meth:`LunarLanderWorkload.create_run`.
     """
 
-    def __init__(
-        self,
-        config: Dict[str, Any],
-        quantile: float,
-        seed: int,
-        true_curve: np.ndarray,
-        epoch_seconds: float,
-    ) -> None:
-        self._config = dict(config)
-        self._quantile = quantile
-        self._seed = seed
-        self._max_epochs = len(true_curve)
-        self._epoch = 0
-        self._rng = np.random.default_rng(
-            stable_config_seed(config, salt=5000 + seed)
-        )
-        self._true_curve = true_curve
-        self._epoch_seconds = epoch_seconds
-
-    # -------------------------------------------------------- TrainingRun
-
-    @property
-    def config(self) -> Dict[str, Any]:
-        return dict(self._config)
-
-    @property
-    def epochs_completed(self) -> int:
-        return self._epoch
-
-    @property
-    def finished(self) -> bool:
-        return self._epoch >= self._max_epochs
+    salt = 5000
+    # Standard error of a 100-trial mean with per-trial spread ~80.
+    metric_noise = 8.0
+    duration_noise = 0.05
+    bounds = (REWARD_MIN, REWARD_MAX)
 
     @property
     def true_final_reward(self) -> float:
@@ -229,97 +212,13 @@ class SyntheticRLRun(TrainingRun):
         """Whether the noiseless curve ever reaches the solved reward."""
         return bool(np.any(self._true_curve >= SOLVED_REWARD))
 
-    def step(self) -> EpochResult:
-        if self.finished:
-            raise RuntimeError("training run already finished")
-        self._epoch += 1
-        true_value = float(self._true_curve[self._epoch - 1])
-        # Standard error of a 100-trial mean with per-trial spread ~80.
-        observed = true_value + 8.0 * float(self._rng.standard_normal())
-        observed = min(max(observed, REWARD_MIN), REWARD_MAX)
-        duration = self._epoch_seconds * float(
-            1.0 + 0.05 * self._rng.standard_normal()
-        )
-        return EpochResult(
-            epoch=self._epoch,
-            duration=max(duration, 1.0),
-            metric=observed,
-            done=self.finished,
-        )
 
-    def observed_stream(self) -> tuple:
-        """The full observed stream, batched (trace-recording hook).
-
-        Consumes the same RNG stream ``step`` would, so the result
-        matches epoch-by-epoch stepping bit for bit.  Consumes the
-        run: call on a fresh run.
-        """
-        if self._epoch != 0:
-            raise RuntimeError("observed_stream requires a fresh run")
-        noise = self._rng.standard_normal(2 * self._max_epochs)
-        metrics = np.clip(
-            self._true_curve + 8.0 * noise[0::2], REWARD_MIN, REWARD_MAX
-        )
-        durations = np.maximum(
-            self._epoch_seconds * (1.0 + 0.05 * noise[1::2]), 1.0
-        )
-        self._epoch = self._max_epochs
-        return durations, metrics
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "epoch": self._epoch,
-            "rng_state": self._rng.bit_generator.state,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._epoch = int(state["epoch"])
-        if not 0 <= self._epoch <= self._max_epochs:
-            raise ValueError(f"snapshot epoch {self._epoch} out of range")
-        self._rng.bit_generator.state = state["rng_state"]
-
-
-class LunarLanderWorkload(Workload):
+class LunarLanderWorkload(CalibratedWorkload):
     """Calibrated synthetic LunarLander exploration problem."""
 
+    run_class = SyntheticRLRun
+    true_curve = staticmethod(_true_curve)
+    mean_epoch_seconds = staticmethod(_mean_epoch_seconds)
+
     def __init__(self, calibration_seed: int = 20170712) -> None:
-        self._space = lunarlander_space()
-        self._calibrator = QualityCalibrator(
-            self._space, _score, seed=calibration_seed
-        )
-        self._domain = DomainSpec(
-            kind="reinforcement",
-            metric_name="reward",
-            target=SOLVED_REWARD,
-            kill_threshold=CRASH_REWARD,
-            random_performance=RANDOM_REWARD,
-            max_epochs=MAX_EPOCHS,
-            eval_boundary=20,  # 2,000 trials at 100 trials per epoch
-            r_min=REWARD_MIN,
-            r_max=REWARD_MAX,
-        )
-
-    @property
-    def space(self) -> SearchSpace:
-        return self._space
-
-    @property
-    def domain(self) -> DomainSpec:
-        return self._domain
-
-    def quality_quantile(self, config: Dict[str, Any]) -> float:
-        """The calibrated quality quantile of ``config`` (analysis aid)."""
-        return self._calibrator.quantile(config)
-
-    def create_run(self, config: Dict[str, Any], seed: int = 0) -> SyntheticRLRun:
-        quantile, curve, epoch_seconds = static_run_parts(
-            self._calibrator, self._space, config, MAX_EPOCHS,
-            _true_curve, _mean_epoch_seconds,
-        )
-        return SyntheticRLRun(
-            config=config,
-            quantile=quantile,
-            seed=seed,
-            true_curve=curve,
-            epoch_seconds=epoch_seconds,
-        )
+        super().__init__(lunarlander_space(), _score, calibration_seed, _DOMAIN)

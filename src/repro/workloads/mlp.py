@@ -225,12 +225,13 @@ class MLPTrainingRun(TrainingRun):
         }
 
     def restore_state(self, state: Dict[str, Any]) -> None:
-        self._epoch = int(state["epoch"])
-        if not 0 <= self._epoch <= self._max_epochs:
-            raise ValueError(f"snapshot epoch {self._epoch} out of range")
+        epoch = int(state["epoch"])
+        if not 0 <= epoch <= self._max_epochs:
+            raise ValueError(f"snapshot epoch {epoch} out of range")
         self._params = {k: v.copy() for k, v in state["params"].items()}
         self._velocity = {k: v.copy() for k, v in state["velocity"].items()}
         self._rng.bit_generator.state = state["rng_state"]
+        self._epoch = epoch
 
 
 class MLPWorkload(Workload):
