@@ -42,12 +42,18 @@ __all__ = [
 #: depend on: ``(score_fn, space dimensions, n_reference, seed)``.  The
 #: reference sample is the bulk of building a calibrated workload (4,000
 #: score evaluations), and a daemon or lab worker builds the same
-#: workload for every experiment or cell.  Least-recently-used entries
-#: are evicted past the bound, so callers that pass a fresh lambda per
-#: calibrator cannot grow it.
+#: workload for every experiment or cell.  Only the sorted scores are
+#: kept: the sample itself is streamed (:data:`_REFERENCE_CHUNK`) and
+#: none of its configurations or hashes outlives the build.
+#: Least-recently-used entries are evicted past the bound, so callers
+#: that pass a fresh lambda per calibrator cannot grow it.
 _REFERENCE_CACHE: "OrderedDict[Hashable, np.ndarray]" = OrderedDict()
 _REFERENCE_CACHE_LIMIT = 8
 _REFERENCE_LOCK = threading.Lock()
+
+#: Reference configurations drawn, hashed and scored per pass, so a
+#: build holds one chunk's keys and hash matrix, not the whole sample's.
+_REFERENCE_CHUNK = 256
 
 
 def _reference_scores(
@@ -60,7 +66,11 @@ def _reference_scores(
 
     The sample is computed under the lock, so threads that build the
     same workload at once compute it once; the work holds the GIL
-    anyway, so no parallelism is lost.
+    anyway, so no parallelism is lost.  It is drawn from the one RNG
+    in chunks: each chunk's new keys are hashed in one
+    :func:`_fnv_accumulate_many` pass and lent to :data:`_FNV_CACHE`
+    while the chunk is scored (so ``score_fn``'s
+    :func:`stable_config_seed` calls hit), then taken out again.
     """
     key = (score_fn, tuple(space.dimensions), n_reference, seed)
     with _REFERENCE_LOCK:
@@ -69,9 +79,21 @@ def _reference_scores(
             _REFERENCE_CACHE.move_to_end(key)
             return scores
         rng = np.random.default_rng(seed)
-        configs = [space.sample(rng) for _ in range(n_reference)]
-        _prime_fnv_cache(configs)
-        scores = np.array([score_fn(config) for config in configs])
+        sample: List[float] = []
+        for start in range(0, n_reference, _REFERENCE_CHUNK):
+            size = min(_REFERENCE_CHUNK, n_reference - start)
+            configs = [space.sample(rng) for _ in range(size)]
+            lent = [
+                encoded for encoded in map(config_key, configs)
+                if encoded not in _FNV_CACHE
+            ]
+            _FNV_CACHE.update(zip(lent, _fnv_accumulate_many(lent)))
+            try:
+                sample.extend(score_fn(config) for config in configs)
+            finally:
+                for encoded in lent:
+                    _FNV_CACHE.pop(encoded, None)
+        scores = np.array(sample)
         if not np.all(np.isfinite(scores)):
             raise ValueError("score function produced non-finite values")
         scores = np.sort(scores)
@@ -130,13 +152,15 @@ _FNV_PRIME = 1099511628211
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 #: Per-process memo of the salt-independent FNV accumulator per encoded
-#: configuration.  The character loop below is the hot spot of workload
-#: construction (the calibrator hashes thousands of reference configs,
-#: and every run creation hashes the config under several salts); the
-#: salt is only mixed in *after* the loop, so one accumulator serves
-#: every salt.  Bounded so pathological callers cannot grow it forever.
+#: configuration.  Every run creation hashes its config under several
+#: salts, and the salt is only mixed in *after* the character loop
+#: below, so one accumulator serves every salt.  It holds what runs
+#: read: the calibrator lends each reference chunk's accumulators to it
+#: while scoring that chunk and takes them out again, so no reference
+#: hash outlives a build.  Cleared when full, at the bound of
+#: :data:`_STATIC_CACHE`, where a miss rebuilds the run's curve anyway.
 _FNV_CACHE: Dict[str, int] = {}
-_FNV_CACHE_LIMIT = 65536
+_FNV_CACHE_LIMIT = 4096
 
 
 def _fnv_accumulate(encoded: str) -> int:
@@ -165,14 +189,6 @@ def _fnv_accumulate_many(keys: Sequence[str]) -> List[int]:
     for column in range(width):
         acc = np.where(inside[:, column], (acc ^ codes[:, column]) * prime, acc)
     return acc.tolist()
-
-
-def _prime_fnv_cache(configs: Sequence[Dict[str, Any]]) -> None:
-    """Fill :data:`_FNV_CACHE` for ``configs``, never past its bound, so
-    a score function's :func:`stable_config_seed` calls hit the memo."""
-    room = _FNV_CACHE_LIMIT - len(_FNV_CACHE)
-    keys = [config_key(config) for config in configs[:room]]
-    _FNV_CACHE.update(zip(keys, _fnv_accumulate_many(keys)))
 
 
 def config_key(config: Dict[str, Any]) -> str:
