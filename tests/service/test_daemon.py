@@ -38,16 +38,24 @@ def test_health_reports_version(client):
     assert health["version"]
 
 
-def test_submit_watch_events_metrics_roundtrip(service, client, small_submission):
+def test_submit_watch_events_metrics_roundtrip(
+    service, client, small_submission, held_runs
+):
     """The acceptance-criteria loop: submit -> watch -> result entirely
-    over the HTTP API, with /metrics reflecting the run."""
+    over the HTTP API, with /metrics reflecting the run.  The run is
+    held at its first checkpoint boundary until the watch has seen it,
+    since a small run can finish before the watch's first read."""
     record = client.submit(small_submission.to_dict())
     assert record["status"] == "queued"
 
     updates = []
+
+    def on_update(update):
+        updates.append(update)
+        held_runs.release()
+
     final = client.watch(
-        record["id"], poll_seconds=0.1, timeout=300,
-        on_update=updates.append,
+        record["id"], poll_seconds=0.1, timeout=300, on_update=on_update,
     )
     assert final["status"] == "completed"
     assert final["result"]["epochs_trained"] > 0
